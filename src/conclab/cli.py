@@ -347,11 +347,12 @@ def cmd_discrete(cfg):
     if "function" in cfg:
         f = _function(cfg["function"])
         x = tuple(int(v) for v in cfg.get("point", (0,) * space.n))
-        hs = [dc.h_ops(lambda y: f.eval(y), space, x, i) for i in range(space.n)]
+        table = dc.value_table(lambda y: f.eval(y), space)
+        hs = [dc.h_ops(table, space, x, i) for i in range(space.n)]
         result["h"] = [h[0] for h in hs]
         result["h_plus"] = [h[1] for h in hs]
         result["h_minus"] = [h[2] for h in hs]
-        result["d"] = dc.d_operator(lambda y: f.eval(y), space, x).tolist()
+        result["d"] = dc.d_operator(table, space, x).tolist()
     fmt = cfg.get("format", "json")
     if fmt == "csv":
         lines = ["i,j,J"]

@@ -58,6 +58,8 @@ class FiniteProductSpace:
         if any(s == 0 for s in shape):
             raise ValueError("empty alphabet")
         joint = np.asarray(joint, dtype=float).reshape(shape)
+        if not np.all(np.isfinite(joint)):
+            raise ValueError("probabilities must be finite")
         if np.any(joint < 0):
             raise ValueError("probabilities must be nonnegative")
         if abs(joint.sum() - 1.0) > 1e-12:
@@ -146,23 +148,25 @@ class DependenceProfile:
 # difference operators
 
 
+def _point(x):
+    return tuple(int(v) for v in x)
+
+
 def h_ops(f, space, x, i):
     """(h_i, h+_i, h-_i) of f at configuration x (alphabet indices).
 
     h_i takes the sup over both the observed and the replacement value of
     coordinate i; h+/h- keep the observed value and sup over the
-    replacement only, taking positive/negative parts.
+    replacement only, taking positive/negative parts.  These are the
+    values of h_field and h_plus_field (of f and of -f) at x.
     """
     table = value_table(f, space)
-    x = tuple(int(v) for v in x)
-    sl = list(x)
-    sl[i] = slice(None)
-    vals = table[tuple(sl)]
-    fx = table[x]
-    h = float(np.max(vals) - np.min(vals))
-    h_plus = float(max(0.0, fx - np.min(vals)))
-    h_minus = float(max(0.0, np.max(vals) - fx))
-    return h, h_plus, h_minus
+    at = (i,) + _point(x)
+    return (
+        float(h_field(table, space)[at]),
+        float(h_plus_field(table, space)[at]),
+        float(h_plus_field(-table, space)[at]),
+    )
 
 
 def h_field(f, space):
@@ -171,9 +175,7 @@ def h_field(f, space):
     n = space.n
     out = np.empty((n,) + space.shape)
     for i in range(n):
-        mx = table.max(axis=i, keepdims=True)
-        mn = table.min(axis=i, keepdims=True)
-        out[i] = np.broadcast_to(mx - mn, space.shape)
+        out[i] = np.broadcast_to(np.ptp(table, axis=i, keepdims=True), space.shape)
     return out
 
 
@@ -183,99 +185,65 @@ def h_plus_field(f, space):
     n = space.n
     out = np.empty((n,) + space.shape)
     for i in range(n):
-        mn = table.min(axis=i, keepdims=True)
-        out[i] = np.maximum(table - mn, 0.0)
+        out[i] = table - table.min(axis=i, keepdims=True)
     return out
-
-
-def _iterated_difference_sup(table, idx_tuple, x):
-    """sup over replacements of |prod_s (Id - T_{i_s}) f| at x."""
-    j = len(idx_tuple)
-    shape = table.shape
-    best = 0.0
-    repl_ranges = [range(shape[i]) for i in idx_tuple]
-    for repl in itertools.product(*repl_ranges):
-        total = 0.0
-        for subset in itertools.product([0, 1], repeat=j):
-            y = list(x)
-            sign = 1.0
-            for s, bit in enumerate(subset):
-                if bit:
-                    y[idx_tuple[s]] = repl[s]
-                    sign = -sign
-            total += sign * table[tuple(y)]
-        best = max(best, abs(total))
-    return best
 
 
 def h_tensor(f, space, j, x):
     """Order-j iterated-difference tensor h^(j) f at configuration x.
 
-    Entry (i1..ij) is the sup over replacement values of the j-fold
-    product of (Id - T_i) differences; entries with repeated indices
-    are zero by definition.
+    The value of h_tensor_field at x; entries with repeated indices are
+    zero by definition.
     """
-    if j > space.n:
-        raise ValueError("tensor order exceeds number of coordinates")
-    table = value_table(f, space)
-    x = tuple(int(v) for v in x)
-    n = space.n
-    entries = np.zeros((n,) * j)
-    for idx in itertools.product(range(n), repeat=j):
-        if len(set(idx)) < j:
-            continue
-        entries[idx] = _iterated_difference_sup(table, idx, x)
-    return SymTensor(j, n, entries, symmetrize=False)
+    field = h_tensor_field(f, space, j)
+    return SymTensor(j, space.n, field[(Ellipsis,) + _point(x)], symmetrize=False)
 
 
 def h_tensor_field(f, space, j):
     """h^(j) f over all configurations: shape (n,)*j + space.shape.
 
-    Vectorized for j in {1, 2}; falls back to per-configuration
-    enumeration otherwise.
+    Order 1 is h_field.  For j >= 2, entry (i1..ij) is the sup over
+    replacement values y of |prod_s (Id - T_{i_s}) f|, the observed values
+    staying fixed.  Each sorted index tuple is one inclusion-exclusion sum
+    over its 2^j observed/replacement subsets, with the replacements on j
+    trailing axes; the result fills every permutation of the tuple, and
+    entries with repeated indices are zero.
     """
-    table = value_table(f, space)
     n = space.n
+    if not 1 <= j <= n:
+        raise ValueError("tensor order must lie in 1..n")
+    table = value_table(f, space)
     if j == 1:
-        return h_field(f, space)
-    if j == 2:
-        out = np.zeros((n, n) + space.shape)
-        for i in range(n):
-            for k in range(i + 1, n):
-                t = np.moveaxis(table, (i, k), (0, 1))
-                t1 = np.expand_dims(t, (2, 3))
-                t2 = np.expand_dims(np.swapaxes(t, 0, 1), (0, 3))
-                t3 = np.expand_dims(t, (1, 2))
-                t4 = np.expand_dims(t, (0, 1))
-                d = np.abs(t1 - t2 - t3 + t4).max(axis=(2, 3))
-                out[i, k] = np.moveaxis(d, (0, 1), (i, k))
-                out[k, i] = out[i, k]
-        return out
+        return h_field(table, space)
+    repl_axes = tuple(range(n, n + j))
+    observed = np.expand_dims(table, repl_axes)
     out = np.zeros((n,) * j + space.shape)
-    for x in space.configurations():
-        out[(Ellipsis,) + x] = h_tensor(f, space, j, x).array
+    for idx in itertools.combinations(range(n), j):
+        total = 0.0
+        for mask in range(2 ** j):
+            replaced = [s for s in range(j) if mask >> s & 1]
+            term = observed
+            for s in replaced:
+                # coordinate idx[s] now runs over the replacement axis n + s
+                term = np.swapaxes(term, idx[s], n + s)
+            total = total - term if len(replaced) % 2 else total + term
+        sup = np.abs(total).max(axis=repl_axes)
+        for perm in itertools.permutations(idx):
+            out[perm] = sup
     return out
 
 
 def d_operator(f, space, x):
-    """Conditional standard deviations d_i f at configuration x."""
-    table = value_table(f, space)
-    joint = space.joint
-    x = tuple(int(v) for v in x)
-    n = space.n
-    out = np.empty(n)
-    for i in range(n):
-        sl = list(x)
-        sl[i] = slice(None)
-        probs = joint[tuple(sl)]
-        tot = probs.sum()
-        if tot <= 0:
+    """Conditional standard deviations d_i f at configuration x.
+
+    The value of d_field at x; raises if x lies in a section of
+    probability zero, where the conditional law is undefined.
+    """
+    x = _point(x)
+    for i in range(space.n):
+        if space.joint.sum(axis=i)[x[:i] + x[i + 1:]] <= 0:
             raise ValueError("conditioning on a zero-probability section")
-        w = probs / tot
-        vals = table[tuple(sl)]
-        mean = float(w @ vals)
-        out[i] = np.sqrt(max(0.0, float(w @ (vals - mean) ** 2)))
-    return out
+    return d_field(f, space)[(slice(None),) + x]
 
 
 def d_field(f, space):
@@ -460,10 +428,3 @@ def ising_space(n, edges, fields=None, beta=1.0):
     w = np.exp(beta * energy)
     return FiniteProductSpace([(-1.0, 1.0)] * n, w / w.sum())
 
-
-def ising_from_json(s):
-    obj = json.loads(s) if isinstance(s, str) else s
-    edges = [tuple(e) for e in obj["edges"]]
-    fields = obj.get("fields")
-    n = obj.get("n", len(fields) if fields is not None else 1 + max(max(e[0], e[1]) for e in edges))
-    return ising_space(n, edges, fields, obj.get("beta", 1.0))

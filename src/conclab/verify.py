@@ -100,6 +100,8 @@ def empirical_tail(values, t, delta):
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty sample")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("sample values must be finite")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     n = values.size
@@ -112,49 +114,49 @@ def empirical_tail(values, t, delta):
     return frac, ucb
 
 
-def _centered_values(batch, f):
-    vals = np.array([float(f(row)) for row in batch.data])
-    return vals - vals.mean()
+def _deviations(source, f):
+    """(|f - Ef|, weights, exact) over a finite space or a sample batch.
+
+    A FiniteProductSpace gives every configuration weighted by the joint
+    table, with the exact mean (exact=True); a SampleBatch gives every row
+    weighted by 1/N, centred at the sample mean (exact=False).
+    """
+    exact = isinstance(source, dc.FiniteProductSpace)
+    if exact:
+        values = dc.value_table(f, source).ravel()
+        weights = source.joint.ravel()
+    else:
+        values = np.array([float(f(row)) for row in source.data])
+        if values.size == 0:
+            raise ValueError("empty sample")
+        weights = np.full(values.size, 1.0 / values.size)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("function values must be finite")
+    mean = float(np.sum(weights * values))
+    return np.abs(values - mean), weights, exact
 
 
 def verify_tail(source, f, s, K, grid, delta=0.01):
     """Compare the true/empirical tail of f - Ef against tail_bound.
 
-    source is a SampleBatch (Monte Carlo mode; delta is Bonferroni-split
-    over the grid) or a FiniteProductSpace (exhaustive mode with exact
-    tails; delta is ignored).
+    source is a FiniteProductSpace (exhaustive mode: exact tail masses,
+    compared with zero slack; delta is ignored) or a SampleBatch (Monte
+    Carlo mode: Clopper-Pearson upper bounds at level delta split over the
+    grid).  Non-finite values of f are refused.
     """
     grid = [float(t) for t in grid]
+    if not grid:
+        raise ValueError("empty grid")
     theo = [bd.tail_bound(s, K, t) for t in grid]
-    if isinstance(source, dc.FiniteProductSpace):
-        table = dc.value_table(f, source)
-        mean = float(np.sum(source.joint * table))
-        dev = np.abs(table - mean).ravel()
-        probs = source.joint.ravel()
-        emp = [float(probs[dev >= t - 1e-12].sum()) for t in grid]
-        ucb = emp
-        verdicts = [
-            (e <= b + 1e-12) if b < 1.0 else True for e, b in zip(emp, theo)
-        ]
-        return VerificationReport(
-            grid=tuple(grid),
-            empirical_tail=tuple(emp),
-            empirical_upper_confidence=tuple(ucb),
-            theoretical=tuple(theo),
-            verdicts=tuple(bool(v) for v in verdicts),
-            passed=bool(all(verdicts)),
-            n_samples=int(source.joint.size),
-            delta=0.0,
-            mode="exhaustive",
-        )
-    vals = _centered_values(source, f)
-    dpoint = delta / len(grid)
-    emp, ucb = [], []
-    for t in grid:
-        e, u = empirical_tail(vals, t, dpoint)
-        emp.append(e)
-        ucb.append(u)
-    verdicts = [(u <= b) if b < 1.0 else True for u, b in zip(ucb, theo)]
+    dev, weights, exact = _deviations(source, f)
+    if exact:
+        emp = ucb = [float(weights[dev >= t - 1e-12].sum()) for t in grid]
+        slack = 1e-12
+    else:
+        tails = [empirical_tail(dev, t, delta / len(grid)) for t in grid]
+        emp, ucb = [e for e, _ in tails], [u for _, u in tails]
+        slack = 0.0
+    verdicts = [(u <= b + slack) if b < 1.0 else True for u, b in zip(ucb, theo)]
     return VerificationReport(
         grid=tuple(grid),
         empirical_tail=tuple(emp),
@@ -162,9 +164,9 @@ def verify_tail(source, f, s, K, grid, delta=0.01):
         theoretical=tuple(theo),
         verdicts=tuple(bool(v) for v in verdicts),
         passed=bool(all(verdicts)),
-        n_samples=int(vals.size),
-        delta=float(delta),
-        mode="montecarlo",
+        n_samples=int(dev.size),
+        delta=0.0 if exact else float(delta),
+        mode="exhaustive" if exact else "montecarlo",
     )
 
 
@@ -176,35 +178,28 @@ def verify_moment_recursion(source, f, s, K, r_list):
     comparing.
     """
     r_list = [float(r) for r in r_list]
+    if not r_list:
+        raise ValueError("empty list of moment orders")
     bounds_ = [bd.moment_growth_bound(s, K, r) for r in r_list]
+    dev, weights, exact = _deviations(source, f)
     moments = []
     verdicts = []
-    if isinstance(source, dc.FiniteProductSpace):
-        for r, b in zip(r_list, bounds_):
-            m = dc.exact_moment(f, source, r)
-            moments.append(m)
-            verdicts.append(m <= b + 1e-12)
-        mode = "exhaustive"
-        nsamp = int(source.joint.size)
-    else:
-        vals = _centered_values(source, f)
-        n = vals.size
-        for r, b in zip(r_list, bounds_):
-            powr = np.abs(vals) ** r
-            mr = float(powr.mean())
-            se = float(powr.std(ddof=1)) / np.sqrt(n)
-            low = max(0.0, mr - 3.0 * se) ** (1.0 / r)
-            moments.append(mr ** (1.0 / r))
-            verdicts.append(low <= b)
-        mode = "montecarlo"
-        nsamp = int(vals.size)
+    for r, b in zip(r_list, bounds_):
+        powr = dev ** r
+        mr = float(np.sum(weights * powr))
+        moments.append(mr ** (1.0 / r))
+        if exact:
+            verdicts.append(moments[-1] <= b + 1e-12)
+        else:
+            se = float(powr.std(ddof=1)) / np.sqrt(dev.size)
+            verdicts.append(max(0.0, mr - 3.0 * se) ** (1.0 / r) <= b)
     return MomentReport(
         r_values=tuple(r_list),
         moments=tuple(moments),
         bounds=tuple(bounds_),
         verdicts=tuple(bool(v) for v in verdicts),
         passed=bool(all(verdicts)),
-        mode=mode,
+        mode="exhaustive" if exact else "montecarlo",
     )
 
 
@@ -217,10 +212,8 @@ def verify_exp_moment(space, f, certificate):
     if not isinstance(space, dc.FiniteProductSpace):
         raise TypeError("exp-moment verification is exhaustive only")
     exponent, coefficient, _ = certificate
-    table = dc.value_table(f, space)
-    mean = float(np.sum(space.joint * table))
-    integrand = np.exp(coefficient * np.abs(table - mean) ** exponent)
-    value = float(np.sum(space.joint * integrand))
+    dev, weights, _ = _deviations(space, f)
+    value = float(np.sum(weights * np.exp(coefficient * dev ** exponent)))
     return value, bool(value <= 2.0 + 1e-12)
 
 
@@ -377,28 +370,32 @@ def finite_difference_suite(f, m, points, h=1e-4, seed=0, hessian=None):
 # level-coefficient helpers
 
 
+def _level_norm(T):
+    """|T|_op of a level tensor: Euclidean norm at order 1, spectral at 2."""
+    if T.order == 1:
+        return float(np.linalg.norm(T.array))
+    if T.order == 2:
+        return float(np.linalg.norm(T.array, 2))
+    return tn.op_norm(T, 2.0).value
+
+
 def _field_op_norms(field, j, n, base_shape):
     """Operator norm of the order-j tensor at every configuration."""
     flat = field.reshape((n,) * j + (-1,))
-    m = flat.shape[-1]
-    out = np.empty(m)
-    for i in range(m):
-        T = tn.SymTensor(j, n, flat[(Ellipsis, i)], symmetrize=False)
-        if j == 1:
-            out[i] = float(np.linalg.norm(T.array))
-        elif j == 2:
-            out[i] = float(np.linalg.norm(T.array, 2))
-        else:
-            out[i] = tn.op_norm(T, 2.0).value
-    return out.reshape(base_shape)
+    norms = [
+        _level_norm(tn.SymTensor(j, n, flat[(Ellipsis, i)], symmetrize=False))
+        for i in range(flat.shape[-1])
+    ]
+    return np.array(norms).reshape(base_shape)
 
 
 def discrete_level_coefficients(f, space, d):
     """Exact K_j = ||  |h^(j) f|_op ||_1 (j < d) and K_d = || . ||_inf."""
     K = []
     probs = space.joint
+    table = dc.value_table(f, space)
     for j in range(1, d + 1):
-        field = dc.h_tensor_field(f, space, j)
+        field = dc.h_tensor_field(table, space, j)
         norms = _field_op_norms(field, j, space.n, space.shape)
         if j < d:
             K.append(float(np.sum(probs * norms)))
@@ -417,25 +414,12 @@ def polynomial_level_coefficients(f, batch, d, inflate=True):
     K = []
     data = batch.data
     for j in range(1, d):
-        vals = np.array(
-            [
-                float(np.linalg.norm(cal.derivative_tensor(f, j, x).array.reshape(-1)))
-                if j == 1
-                else float(np.linalg.norm(cal.derivative_tensor(f, j, x).array, 2))
-                for x in data
-            ]
-        )
+        vals = np.array([_level_norm(cal.derivative_tensor(f, j, x)) for x in data])
         est = float(vals.mean())
         if inflate:
             est += 3.0 * float(vals.std(ddof=1)) / np.sqrt(vals.size)
         K.append(est)
     if f.degree > d:
         raise ValueError("top level is only exact for polynomials of degree <= d")
-    top = cal.derivative_tensor(f, d, np.zeros(f.nvars))
-    if d == 1:
-        K.append(float(np.linalg.norm(top.array)))
-    elif d == 2:
-        K.append(float(np.linalg.norm(top.array, 2)))
-    else:
-        K.append(tn.op_norm(top, 2.0).value)
+    K.append(_level_norm(cal.derivative_tensor(f, d, np.zeros(f.nvars))))
     return bd.LevelCoefficients(K)

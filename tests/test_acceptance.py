@@ -34,7 +34,6 @@ from conclab.discrete import (
     dlsi_constant,
     h_field,
     h_plus_field,
-    h_tensor,
     h_tensor_field,
     ising_space,
     uniform_cube,
@@ -57,6 +56,7 @@ from conclab.verify import (
     verify_moment_recursion,
     verify_tail,
 )
+from oracles import h_tensor_oracle
 
 LOG2 = math.log(2.0)
 
@@ -169,7 +169,7 @@ def _cyclic_margins(n):
     Returns the largest |h|hf|| - |h^(2)f|_op, the largest
     |h+|hf|| - |h^(2)f|_op over {-1,1}^n, and the largest deviation of the
     right-hand side taken from h_tensor_field from the one taken from the
-    per-point h_tensor oracle.
+    per-point from-the-definition oracle.
     """
     sp = uniform_cube(n)
     table = value_table(
@@ -183,7 +183,7 @@ def _cyclic_margins(n):
     field_dev = 0.0
     for x in sp.configurations():
         rhs = float(np.linalg.norm(t2[(Ellipsis,) + x], 2))
-        rhs_oracle = float(np.linalg.norm(h_tensor(table, sp, 2, x).array, 2))
+        rhs_oracle = float(np.linalg.norm(h_tensor_oracle(table, 2, x), 2))
         field_dev = max(field_dev, abs(rhs - rhs_oracle))
         unsigned = max(unsigned, lhs[x] - rhs)
         one_sided = max(one_sided, lhs_plus[x] - rhs)
@@ -234,7 +234,7 @@ def test_criterion_05_difference_recursions():
         "violations=%d, cyclic 4-variable unsigned margin=%.6f (needs "
         "8*sqrt(2)-8=%.6f), one-sided margin=%.2e (needs <= 1e-10), cyclic "
         "5-variable unsigned margin=%.6f (needs 4-4*sqrt(3)=%.6f, one-sided "
-        "%.3f), field vs h_tensor oracle deviation=%.1e"
+        "%.3f), field vs per-point oracle deviation=%.1e"
         % (op_violations, hs_violations, m4, m4_ref, m4_plus, m5, m5_ref,
            m5_plus, field_dev),
     )

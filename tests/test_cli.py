@@ -157,6 +157,23 @@ class TestVerify:
         )
         assert main(["verify", "--config", cfg, "--delta", "1.5"]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_function_exits_1(self, tmp_path, capsys):
+        # 1e308 * (x0 + x1) overflows to +-inf on two corners of the square
+        cfg = write_config(
+            tmp_path,
+            {
+                "kind": "tail",
+                "setting": {"tag": "independent_bounded"},
+                "function": {"linear": [1e308, 1e308]},
+                "space": {"uniform_cube": 2},
+                "K": [1.0],
+                "grid": [0.5, 1.0],
+            },
+        )
+        assert main(["verify", "--config", cfg]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_dlsi_two_point(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

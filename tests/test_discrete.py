@@ -22,10 +22,28 @@ from conclab.discrete import (
     value_table,
 )
 from conclab.tensor import SymTensor, op_norm, op_norm_oracle
+from oracles import conditional_std, h_tensor_oracle
 
 
 def random_table(rng, space):
     return rng.standard_normal(space.shape)
+
+
+def _ternary_cube():
+    return FiniteProductSpace([(-1.0, 0.0, 1.0)] * 3, np.full((3, 3, 3), 1.0 / 27))
+
+
+def _mixed_space():
+    rng = np.random.default_rng(8)
+    alphabets = [(-1.0, 0.0, 2.0), (0.0, 1.0), (-2.0, -1.0, 1.0, 3.0)]
+    return FiniteProductSpace(alphabets, rng.dirichlet(np.ones(24)))
+
+
+FIELD_SPACES = {
+    "cube": lambda: uniform_cube(3),
+    "ternary": _ternary_cube,
+    "mixed": _mixed_space,
+}
 
 
 class TestFiniteProductSpace:
@@ -47,6 +65,13 @@ class TestFiniteProductSpace:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             FiniteProductSpace([(-1.0, 1.0)], np.array([1.5, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_joint_rejected(self, bad):
+        with pytest.raises(ValueError):
+            FiniteProductSpace([(-1.0, 1.0)] * 2, np.full((2, 2), bad))
+        with pytest.raises(ValueError):
+            FiniteProductSpace([(-1.0, 1.0)], np.array([bad, 0.5]))
 
     def test_json_roundtrip(self):
         sp = ising_space(2, [(0, 1, 1.0)], beta=0.3)
@@ -116,14 +141,23 @@ class TestHTensor:
         T = h_tensor(f, sp, 2, (1, 0, 1))
         assert np.allclose(T.array, 0.0, atol=1e-12)
 
-    def test_field_matches_pointwise(self):
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("space", sorted(FIELD_SPACES))
+    def test_field_matches_pointwise(self, space, j):
         rng = np.random.default_rng(4)
-        sp = uniform_cube(3)
+        sp = FIELD_SPACES[space]()
         table = random_table(rng, sp)
-        field = h_tensor_field(table, sp, 2)
+        field = h_tensor_field(table, sp, j)
         for x in sp.configurations():
-            T = h_tensor(table, sp, 2, x)
-            assert np.allclose(field[(Ellipsis,) + x], T.array)
+            expected = h_tensor_oracle(table, j, x)
+            assert np.allclose(field[(Ellipsis,) + x], expected, rtol=0, atol=1e-12)
+            assert np.array_equal(h_tensor(table, sp, j, x).array, field[(Ellipsis,) + x])
+
+    def test_order_outside_range_rejected(self):
+        sp = uniform_cube(2)
+        for j in (0, 3):
+            with pytest.raises(ValueError):
+                h_tensor_field(np.zeros(sp.shape), sp, j)
 
     def test_h_field_matches_h_ops(self):
         rng = np.random.default_rng(5)
@@ -155,12 +189,25 @@ class TestDOperator:
         assert d[0] == pytest.approx(0.0)
 
     def test_field_matches_pointwise(self):
-        sp = ising_space(3, [(0, 1, 1.0), (1, 2, -0.5)], beta=0.4)
         rng = np.random.default_rng(7)
-        table = random_table(rng, sp)
-        field = d_field(table, sp)
-        for x in sp.configurations():
-            assert np.allclose(field[(slice(None),) + x], d_operator(table, sp, x))
+        for sp in [ising_space(3, [(0, 1, 1.0), (1, 2, -0.5)], beta=0.4), _mixed_space()]:
+            table = random_table(rng, sp)
+            field = d_field(table, sp)
+            for x in sp.configurations():
+                expected = conditional_std(table, sp.joint, x)
+                assert np.allclose(field[(slice(None),) + x], expected, rtol=1e-12, atol=1e-12)
+                assert np.array_equal(d_operator(table, sp, x), field[(slice(None),) + x])
+
+    def test_zero_probability_section_rejected(self):
+        # the first coordinate never takes its second value, so the section
+        # through x = (1, .) along coordinate 1 carries no probability
+        joint = np.array([[0.5, 0.5], [0.0, 0.0]])
+        sp = FiniteProductSpace([(-1.0, 1.0)] * 2, joint)
+        table = np.array([[1.0, 2.0], [3.0, 4.0]])
+        for x in [(1, 0), (1, 1)]:
+            with pytest.raises(ValueError, match="zero-probability"):
+                d_operator(table, sp, x)
+        assert np.allclose(d_operator(table, sp, (0, 0)), [0.0, 0.5])
 
 
 class TestDependenceProfile:

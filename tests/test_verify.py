@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conclab.bounds import LevelCoefficients, exp_moment_certificate, setting_catalog
-from conclab.calculus import Euclidean, Grassmann, PolyFunction, Sphere, Stiefel
+from conclab.calculus import (
+    Euclidean,
+    Grassmann,
+    PolyFunction,
+    Sphere,
+    Stiefel,
+    derivative_tensor,
+)
 from conclab.discrete import (
     FiniteProductSpace,
     dependence_profile,
@@ -17,6 +24,7 @@ from conclab.discrete import (
     uniform_cube,
 )
 from conclab.samplers import sample_gaussian, sample_sphere, sample_stiefel
+from conclab.tensor import op_norm
 from conclab.verify import (
     discrete_level_coefficients,
     empirical_tail,
@@ -56,6 +64,11 @@ class TestEmpiricalTail:
             empirical_tail([], 1.0, 0.05)
         with pytest.raises(ValueError):
             empirical_tail([1.0], 1.0, 1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            empirical_tail(np.full(10, bad), 0.5, 0.05)
 
 
 class TestVerifyTail:
@@ -111,6 +124,42 @@ class TestVerifyTail:
             LevelCoefficients([0.001]), [50.0, 150.0], 0.01,
         )
         assert not report.passed
+
+
+    def test_non_finite_values_refused_exhaustive(self):
+        # a NaN on a single configuration used to be counted as within
+        # the bound, so the whole check passed
+        sp = uniform_cube(3)
+        s = setting_catalog("independent_bounded", d=1)
+        K = LevelCoefficients([2.0])
+        f = lambda x: np.nan if x[0] > 0 else float(x[1])
+        with pytest.raises(ValueError, match="finite"):
+            verify_tail(sp, f, s, K, [0.5, 1.0], 0.01)
+        with pytest.raises(ValueError, match="finite"):
+            verify_moment_recursion(sp, f, s, K, [2.0])
+        cert = exp_moment_certificate(s, K)
+        with pytest.raises(ValueError, match="finite"):
+            verify_exp_moment(sp, f, cert)
+
+    def test_empty_grid_refused(self):
+        # an empty grid or list of orders used to pass with no check made
+        s = setting_catalog("gaussian", d=1)
+        K = LevelCoefficients([1.0])
+        for source in (uniform_cube(2), sample_gaussian(2, 50, seed=0)):
+            with pytest.raises(ValueError, match="empty"):
+                verify_tail(source, lambda x: float(x[0]), s, K, [], 0.01)
+            with pytest.raises(ValueError, match="empty"):
+                verify_moment_recursion(source, lambda x: float(x[0]), s, K, [])
+
+    def test_non_finite_values_refused_montecarlo(self):
+        batch = sample_gaussian(3, 200, seed=0)
+        s = setting_catalog("gaussian", d=1)
+        K = LevelCoefficients([1.0])
+        f = lambda x: np.nan if x[0] > 0 else float(x[1])
+        with pytest.raises(ValueError, match="finite"):
+            verify_tail(batch, f, s, K, [0.5, 1.0], 0.01)
+        with pytest.raises(ValueError, match="finite"):
+            verify_moment_recursion(batch, lambda x: np.inf, s, K, [2.0])
 
 
 class TestVerifyMomentRecursion:
@@ -284,6 +333,15 @@ class TestLevelCoefficients:
         k_infl = polynomial_level_coefficients(f, batch, 2, inflate=True)
         k_raw = polynomial_level_coefficients(f, batch, 2, inflate=False)
         assert k_infl.K[0] > k_raw.K[0]
+
+    def test_polynomial_third_level(self):
+        # order-3 derivative tensors take the alternating op_norm
+        f = PolyFunction(3, {(1, 1, 1): 1.0, (2, 1, 0): 0.5})
+        batch = sample_gaussian(3, 20, seed=20)
+        K = polynomial_level_coefficients(f, batch, 4, inflate=False)
+        norms = [op_norm(derivative_tensor(f, 3, x), 2.0).value for x in batch.data]
+        assert K.K[2] == pytest.approx(float(np.mean(norms)), rel=1e-12)
+        assert K.K[3] == 0.0
 
     def test_degree_guard(self):
         f = PolyFunction(2, {(2, 1): 1.0})
