@@ -68,15 +68,16 @@ class Setting:
     positive_part_only: bool = False
 
     def __post_init__(self):
-        if self.p <= 0 or self.r0 <= 1 or self.L <= 0 or self.sigma <= 0:
-            raise ValueError("need p > 0, r0 > 1, L > 0, sigma > 0")
+        # comparisons written so that NaN fails them
+        if not all(0 < v < math.inf for v in (self.p, self.r0 - 1, self.L, self.sigma)):
+            raise ValueError("need finite p > 0, r0 > 1, L > 0, sigma > 0")
         if self.d < 1:
             raise ValueError("d must be a positive integer")
         if self.q is not None:
-            if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12:
+            if not abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-12:
                 raise ValueError("q must be the Hoelder conjugate of p")
-        if self.gamma is not None and self.gamma < 1.0:
-            raise ValueError("gamma must be >= 1")
+        if self.gamma is not None and not 1.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 1")
 
     @property
     def gamma_eff(self):
@@ -118,6 +119,8 @@ class LevelCoefficients:
         K = tuple(float(k) for k in K)
         if not K:
             raise ValueError("need at least one level")
+        if not all(math.isfinite(k) for k in K):
+            raise ValueError("level coefficients must be finite")
         if any(k < 0 for k in K):
             raise ValueError("level coefficients must be nonnegative")
         object.__setattr__(self, "K", K)
@@ -175,8 +178,8 @@ def _active_levels(K):
 
 def tail_bound(s, K, t):
     """Multilevel tail bound at threshold t >= 0, capped at 1."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not (0 <= t < math.inf):
+        raise ValueError("t must be finite and >= 0")
     if K.d != s.d:
         raise ValueError("level count must equal setting order d")
     levels = _active_levels(K)

@@ -1,16 +1,20 @@
 """Polynomial test functions and intrinsic first/second-order calculus.
 
-Polynomials in n variables carry exact symbolic derivatives, so derivative
-tensors of any order are available in closed form.  Manifold descriptors
-(Euclidean space, unit sphere, l_p sphere, Stiefel, Grassmann) supply
-tangent-space projections; intrinsic gradients are projected Euclidean
-gradients.  On the sphere the intrinsic Hessian and iterated spherical
-partial derivatives D_{i1..ij} are computed exactly via the 0-homogeneous
-extension G(x) = g(x/|x|) of each level function.
+A polynomial is an (m, n) integer exponent matrix plus (m,) coefficients:
+eval takes a point or an (N, n) batch, partials are exponent shifts, and
+derivative_field stacks exact derivative tensors of any order over a batch.
+Manifold descriptors (Euclidean space, unit sphere, l_p sphere, Stiefel,
+Grassmann) supply tangent-space projections; intrinsic gradients are
+projected Euclidean gradients.  On the sphere the intrinsic Hessian and
+iterated spherical partial derivatives D_{i1..ij} are computed exactly via
+the 0-homogeneous extension G(x) = g(x/|x|) of each level function, which
+is kept in the same array form.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -25,6 +29,7 @@ __all__ = [
     "LpSphere",
     "Stiefel",
     "Grassmann",
+    "derivative_field",
     "derivative_tensor",
     "tangent_project",
     "intrinsic_gradient",
@@ -37,70 +42,86 @@ _ONMANIFOLD_TOL = 1e-8
 
 
 class PolyFunction:
-    """Multivariate polynomial in canonical merged-monomial form.
+    """Multivariate polynomial in canonical merged-monomial array form.
 
-    monomials maps exponent multi-indices (tuples of n nonnegative ints)
-    to real coefficients; no two monomials share an index and zero
-    coefficients are dropped.
+    exps is an (m, n) integer exponent matrix with distinct rows, in order
+    of first appearance, and coefs the matching (m,) coefficient vector;
+    zero coefficients are dropped.  monomials is the same data as a dict
+    {exponent tuple: coefficient}.
     """
 
     def __init__(self, nvars, monomials):
-        self.nvars = int(nvars)
-        merged = {}
-        items = monomials.items() if isinstance(monomials, dict) else monomials
-        for exps, coef in items:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars:
-                raise ValueError("exponent multi-index length must equal nvars")
-            if any(e < 0 for e in exps):
-                raise ValueError("exponents must be nonnegative")
-            merged[exps] = merged.get(exps, 0.0) + float(coef)
-        self.monomials = {e: c for e, c in merged.items() if c != 0.0}
+        items = list(monomials.items() if isinstance(monomials, dict) else monomials)
+        rows = [tuple(int(e) for e in exps) for exps, _ in items]
+        if any(len(r) != int(nvars) for r in rows):
+            raise ValueError("exponent multi-index length must equal nvars")
+        exps = np.array(rows, dtype=np.int64).reshape(len(rows), int(nvars))
+        if np.any(exps < 0):
+            raise ValueError("exponents must be nonnegative")
+        self._merge(nvars, exps, [float(c) for _, c in items])
+
+    @classmethod
+    def _from_arrays(cls, nvars, exps, coefs):
+        """Unvalidated constructor from an exponent matrix and coefficients."""
+        f = cls.__new__(cls)
+        f._merge(nvars, exps, coefs)
+        return f
+
+    def _merge(self, nvars, exps, coefs):
+        exps, first, owner = np.unique(exps, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        coefs = np.bincount(np.argsort(order)[owner.ravel()], weights=coefs, minlength=len(order))
+        exps = exps[order]
+        self.nvars, self.exps, self.coefs = int(nvars), exps[coefs != 0.0], coefs[coefs != 0.0]
+
+    @property
+    def monomials(self):
+        return {tuple(int(e) for e in row): float(c) for row, c in zip(self.exps, self.coefs)}
 
     @property
     def degree(self):
-        if not self.monomials:
-            return 0
-        return max(sum(e) for e in self.monomials)
+        return int(self.exps.sum(axis=1).max()) if len(self.coefs) else 0
 
     def __call__(self, x):
         return self.eval(x)
 
     def eval(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape != (self.nvars,):
-            raise ValueError("point length must equal nvars")
-        total = 0.0
-        for exps, coef in self.monomials.items():
-            term = coef
-            for xi, e in zip(x, exps):
-                if e:
-                    term *= xi ** e
-            total += term
-        return float(total)
+        """f at a point (n,), as a float, or at every row of a batch (N, n).
+
+        Terms are kept as an (m, N) array.  One variable at a time, the
+        monomials that contain it multiply their terms by its powers, each
+        power computed once per point, so memory stays O(N m).  The terms
+        are summed in monomial order from 0.0, as a term-by-term loop does.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.nvars:
+            raise ValueError("expected a point (nvars,) or a batch (N, nvars)")
+        cols = x.reshape(-1, self.nvars).T
+        terms = np.repeat(np.append(0.0, self.coefs)[:, None], cols.shape[1], axis=1)
+        for i in np.flatnonzero(self.exps.any(axis=0)):
+            e = np.append(0, self.exps[:, i])
+            hit = np.flatnonzero(e)
+            terms[hit] *= (cols[i] ** np.arange(e.max() + 1)[:, None])[e[hit]]
+        values = np.add.accumulate(terms, axis=0)[-1]
+        return float(values[0]) if x.ndim == 1 else values
 
     def partial(self, i):
         """Exact partial derivative with respect to variable i."""
-        out = {}
-        for exps, coef in self.monomials.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            key = tuple(new)
-            out[key] = out.get(key, 0.0) + coef * e
-        return PolyFunction(self.nvars, out)
+        e = self.exps[:, i]
+        keep = e > 0
+        exps = self.exps[keep]
+        exps[:, i] -= 1
+        return PolyFunction._from_arrays(self.nvars, exps, self.coefs[keep] * e[keep])
 
     def gradient(self, x):
         return np.array([self.partial(i).eval(x) for i in range(self.nvars)])
 
     def __add__(self, other):
-        items = list(self.monomials.items()) + list(other.monomials.items())
-        return PolyFunction(self.nvars, items)
+        exps = np.concatenate([self.exps, other.exps])
+        return PolyFunction._from_arrays(self.nvars, exps, np.concatenate([self.coefs, other.coefs]))
 
     def scale(self, a):
-        return PolyFunction(self.nvars, {e: a * c for e, c in self.monomials.items()})
+        return PolyFunction._from_arrays(self.nvars, self.exps, a * self.coefs)
 
     def to_json(self):
         return json.dumps(
@@ -121,54 +142,52 @@ class PolyFunction:
 
     @staticmethod
     def linear(a):
-        a = np.asarray(a, dtype=float)
-        n = a.size
-        mono = {}
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            mono[tuple(e)] = a[i]
-        return PolyFunction(n, mono)
+        a = np.asarray(a, dtype=float).ravel()
+        return PolyFunction._from_arrays(a.size, np.eye(a.size, dtype=np.int64), a)
 
     @staticmethod
     def quadratic_form(A):
         """x^T A x for a square matrix A."""
         A = np.asarray(A, dtype=float)
-        n = A.shape[0]
-        mono = {}
-        for i in range(n):
-            for j in range(n):
-                if A[i, j] == 0:
-                    continue
-                e = [0] * n
-                e[i] += 1
-                e[j] += 1
-                key = tuple(e)
-                mono[key] = mono.get(key, 0.0) + A[i, j]
-        return PolyFunction(n, mono)
+        eye = np.eye(A.shape[0], dtype=np.int64)
+        exps = (eye[:, None, :] + eye[None, :, :]).reshape(-1, A.shape[0])
+        return PolyFunction._from_arrays(A.shape[0], exps, A.ravel())
 
 
-def derivative_tensor(f, j, x):
-    """Exact j-fold partial-derivative tensor of f at x, as a SymTensor."""
+def derivative_field(f, j, X):
+    """Stacked j-fold partial-derivative tensors of f at the rows of X.
+
+    Returns an (N, n, ..., n) array.  Each distinct sorted index tuple is
+    differentiated (by exponent shifts) and evaluated on the whole batch
+    once, then written to all of its permutations.
+    """
     if j < 1:
         raise ValueError("derivative order must be >= 1")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape != (f.nvars,):
-        raise ValueError("point length must equal nvars")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != f.nvars:
+        raise ValueError("expected a batch (N, nvars)")
     n = f.nvars
     cache = {(): f}
 
     def diff(idx):
-        if idx in cache:
-            return cache[idx]
-        g = diff(idx[:-1]).partial(idx[-1])
-        cache[idx] = g
-        return g
+        if idx not in cache:
+            cache[idx] = diff(idx[:-1]).partial(idx[-1])
+        return cache[idx]
 
-    entries = np.zeros((n,) * j)
-    for idx in np.ndindex(*(n,) * j):
-        entries[idx] = diff(tuple(sorted(idx))).eval(x)
-    return SymTensor(j, n, entries, symmetrize=False)
+    out = np.empty((len(X),) + (n,) * j)
+    for idx in itertools.combinations_with_replacement(range(n), j):
+        values = diff(idx).eval(X)
+        for perm in set(itertools.permutations(idx)):
+            out[(slice(None),) + perm] = values
+    return out
+
+
+def derivative_tensor(f, j, x):
+    """Exact j-fold partial-derivative tensor of f at x, as a SymTensor."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.shape != (f.nvars,):
+        raise ValueError("point length must equal nvars")
+    return SymTensor(j, f.nvars, derivative_field(f, j, x[None, :])[0], symmetrize=False)
 
 
 # ---------------------------------------------------------------------------
@@ -340,41 +359,20 @@ def sphere_hessian(f, theta):
 # ---------------------------------------------------------------------------
 # spherical partial derivatives via 0-homogeneous extension
 #
-# Each level function is a dict {beta: c} denoting sum c x^beta |x|^{-|beta|},
-# the 0-homogeneous extension of its sphere restriction.  Differentiating a
-# term and re-homogenizing (value-preserving on the sphere) gives the clean
+# Each level function is a PolyFunction sum c x^beta read as the 0-homogeneous
+# extension sum c x^beta |x|^{-|beta|} of its sphere restriction, which it
+# equals on the sphere.  Differentiating a term and re-homogenizing gives the
 # recursion below, so iterated D operators stay exact rational expressions.
 
 
-def _homogenized(f):
-    return {tuple(e): c for e, c in f.monomials.items()}
-
-
-def _spherical_diff(terms, k):
-    out = {}
-    for beta, c in terms.items():
-        deg = sum(beta)
-        if beta[k] > 0:
-            new = list(beta)
-            new[k] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, 0.0) + c * beta[k]
-        new = list(beta)
-        new[k] += 1
-        key = tuple(new)
-        out[key] = out.get(key, 0.0) - c * deg
-    return {e: c for e, c in out.items() if c != 0.0}
-
-
-def _eval_terms(terms, theta):
-    total = 0.0
-    for beta, c in terms.items():
-        term = c
-        for xi, e in zip(theta, beta):
-            if e:
-                term *= xi ** e
-        total += term
-    return total
+def _spherical_diff(g, k):
+    """D_k of a level function: each term c x^beta gives c beta_k x^(beta - e_k)
+    (when beta_k > 0), then -c |beta| x^(beta + e_k)."""
+    e_k = np.eye(g.nvars, dtype=np.int64)[k]
+    exps = np.stack([g.exps - e_k, g.exps + e_k], axis=1).reshape(-1, g.nvars)
+    coefs = np.stack([g.coefs * g.exps[:, k], -g.coefs * g.exps.sum(axis=1)], axis=1).ravel()
+    valid = exps[:, k] >= 0
+    return PolyFunction._from_arrays(g.nvars, exps[valid], coefs[valid])
 
 
 def spherical_partial(f, indices, theta):
@@ -389,26 +387,21 @@ def spherical_partial(f, indices, theta):
         raise ValueError("point is not on the unit sphere")
     if len(indices) < 1:
         raise ValueError("need at least one index")
-    terms = _homogenized(f)
-    for k in indices:
-        terms = _spherical_diff(terms, k)
-    return float(_eval_terms(terms, theta))
+    return functools.reduce(_spherical_diff, indices, f).eval(theta)
 
 
 def spherical_derivative_tensor(f, j, theta):
     """All index tuples of D^(j) f(theta), as an unsymmetrized array."""
     theta = np.asarray(theta, dtype=float).ravel()
     n = theta.size
-    cache = {(): _homogenized(f)}
+    cache = {(): f}
 
     def level(idx):
-        if idx in cache:
-            return cache[idx]
-        t = _spherical_diff(level(idx[:-1]), idx[-1])
-        cache[idx] = t
-        return t
+        if idx not in cache:
+            cache[idx] = _spherical_diff(level(idx[:-1]), idx[-1])
+        return cache[idx]
 
     out = np.zeros((n,) * j)
     for idx in np.ndindex(*(n,) * j):
-        out[idx] = _eval_terms(level(tuple(idx)), theta)
+        out[idx] = level(idx).eval(theta)
     return out

@@ -261,9 +261,7 @@ def cmd_verify(cfg):
             K = (
                 bd.LevelCoefficients(cfg["K"])
                 if "K" in cfg
-                else vf.discrete_level_coefficients(
-                    lambda x: f.eval(x), source, s.d
-                )
+                else vf.discrete_level_coefficients(f, source, s.d)
             )
         else:
             source = _batch(cfg["measure"], int(cfg.get("samples", 100000)), seed)
@@ -306,7 +304,7 @@ def cmd_verify(cfg):
         f = _function(cfg["function"])
         K = bd.LevelCoefficients(cfg["K"])
         cert = bd.exp_moment_certificate(s, K)
-        value, ok = vf.verify_exp_moment(space, lambda x: f.eval(x), cert)
+        value, ok = vf.verify_exp_moment(space, f, cert)
         text = (
             json.dumps(
                 {
@@ -347,7 +345,7 @@ def cmd_discrete(cfg):
     if "function" in cfg:
         f = _function(cfg["function"])
         x = tuple(int(v) for v in cfg.get("point", (0,) * space.n))
-        table = dc.value_table(lambda y: f.eval(y), space)
+        table = dc.value_table(f, space)
         hs = [dc.h_ops(table, space, x, i) for i in range(space.n)]
         result["h"] = [h[0] for h in hs]
         result["h_plus"] = [h[1] for h in hs]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import PolyFunction
 from .tensor import SymTensor
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "dependence_profile",
     "dlsi_constant",
     "exact_distribution",
-    "exact_mean",
     "exact_moment",
     "phi_entropy",
     "ising_space",
@@ -117,10 +117,14 @@ def value_table(f, space):
     """Materialize f as an array over all configurations.
 
     f may already be such an array (indexed by alphabet indices) or a
-    callable receiving the label vector of a configuration.
+    callable receiving the label vector of a configuration.  A
+    PolyFunction is evaluated on the whole label grid in one call.
     """
     if isinstance(f, np.ndarray):
         return np.asarray(f, dtype=float).reshape(space.shape)
+    if isinstance(f, PolyFunction):
+        grid = np.meshgrid(*space.alphabets, indexing="ij")
+        return f.eval(np.stack(grid, axis=-1).reshape(-1, space.n)).reshape(space.shape)
     out = np.empty(space.shape)
     for x in space.configurations():
         out[x] = f(space.labels(x))
@@ -360,11 +364,6 @@ def exact_distribution(f, space, decimals=12):
         if p > 0:
             pmf[float(v)] = pmf.get(float(v), 0.0) + float(p)
     return dict(sorted(pmf.items()))
-
-
-def exact_mean(f, space):
-    table = value_table(f, space)
-    return float(np.sum(space.joint * table))
 
 
 def exact_moment(f, space, r):

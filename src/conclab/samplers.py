@@ -6,7 +6,10 @@ manifolds, and finite product-space distributions (alias method).
 
 Generation is chunked; each chunk draws from a substream derived by hashing
 (seed, chunk index), so output is a pure function of (descriptor, count,
-seed) regardless of how chunks are scheduled.
+seed) regardless of how chunks are scheduled.  Stiefel and Grassmann
+chunks are orthonormalized as one stacked (m, n, k) block by a batched
+eigh or inv, with the same draws and per-matrix arithmetic as generating
+them row by row (the tests compare the two bit for bit).
 """
 
 from __future__ import annotations
@@ -171,54 +174,60 @@ def sample_cone_lp(p, n, count, seed):
     return SampleBatch(data, int(seed), {"tag": "cone_lp", "p": float(p), "n": n})
 
 
-def _orthonormalize(g):
-    """A = G (G^T G)^{-1/2} via symmetric eigendecomposition."""
-    s = g.T @ g
-    w, v = np.linalg.eigh(s)
+def _frames(n, k, count, seed, stacked, width):
+    """Rows of stacked(G) for Gaussian (m, n, k) blocks G, one per chunk.
+
+    stacked raises FloatingPointError or LinAlgError when a Gram matrix
+    G^T G of the block is singular.  That chunk's generator is then rewound
+    and the chunk redone row by row, a singular row taking the next draw
+    instead, which is the draw order of row-by-row generation.
+    """
+    out = np.empty((count, width))
+    row = 0
+    for rng, m in _chunk_rngs(seed, count):
+        start = rng.bit_generator.state
+        try:
+            out[row:row + m] = stacked(rng.standard_normal((m, n, k))).reshape(m, width)
+        except (FloatingPointError, np.linalg.LinAlgError):
+            rng.bit_generator.state = start
+            for r in range(row, row + m):
+                try:
+                    out[r] = stacked(rng.standard_normal((1, n, k))).ravel()
+                except (FloatingPointError, np.linalg.LinAlgError):
+                    out[r] = stacked(rng.standard_normal((1, n, k))).ravel()
+        row += m
+    out.setflags(write=False)
+    return out
+
+
+def _stiefel_block(g):
+    """A = G (G^T G)^{-1/2} for every G of an (m, n, k) block, by batched eigh."""
+    w, v = np.linalg.eigh(np.swapaxes(g, -1, -2) @ g)
     if np.min(w) <= 0:
         raise FloatingPointError("singular Gram matrix")
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
-    return g @ inv_sqrt
+    return g @ ((v * (1.0 / np.sqrt(w))[:, None, :]) @ np.swapaxes(v, -1, -2))
+
+
+def _grassmann_block(g):
+    """P = G (G^T G)^{-1} G^T for every G of an (m, n, k) block, by batched inv."""
+    gt = np.swapaxes(g, -1, -2)
+    return g @ np.linalg.inv(gt @ g) @ gt
 
 
 def sample_stiefel(n, k, count, seed):
     """Haar-type measure on n x k orthonormal frames; rows are vec(A)."""
     if not (1 <= k < n):
         raise ValueError("need 1 <= k < n")
-    out = np.empty((count, n * k))
-    row = 0
-    for rng, m in _chunk_rngs(seed, count):
-        for _ in range(m):
-            g = rng.standard_normal((n, k))
-            try:
-                a = _orthonormalize(g)
-            except FloatingPointError:
-                g = rng.standard_normal((n, k))
-                a = _orthonormalize(g)
-            out[row] = a.ravel()
-            row += 1
-    out.setflags(write=False)
-    return SampleBatch(out, int(seed), {"tag": "stiefel", "n": n, "k": k})
+    data = _frames(n, k, count, seed, _stiefel_block, n * k)
+    return SampleBatch(data, int(seed), {"tag": "stiefel", "n": n, "k": k})
 
 
 def sample_grassmann(n, k, count, seed):
     """Rank-k projection matrices P = G (G^T G)^{-1} G^T; rows are vec(P)."""
     if not (1 <= k < n):
         raise ValueError("need 1 <= k < n")
-    out = np.empty((count, n * n))
-    row = 0
-    for rng, m in _chunk_rngs(seed, count):
-        for _ in range(m):
-            g = rng.standard_normal((n, k))
-            try:
-                gram_inv = np.linalg.inv(g.T @ g)
-            except np.linalg.LinAlgError:
-                g = rng.standard_normal((n, k))
-                gram_inv = np.linalg.inv(g.T @ g)
-            out[row] = (g @ gram_inv @ g.T).ravel()
-            row += 1
-    out.setflags(write=False)
-    return SampleBatch(out, int(seed), {"tag": "grassmann", "n": n, "k": k})
+    data = _frames(n, k, count, seed, _grassmann_block, n * n)
+    return SampleBatch(data, int(seed), {"tag": "grassmann", "n": n, "k": k})
 
 
 class _AliasTable:

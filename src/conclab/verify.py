@@ -119,14 +119,18 @@ def _deviations(source, f):
 
     A FiniteProductSpace gives every configuration weighted by the joint
     table, with the exact mean (exact=True); a SampleBatch gives every row
-    weighted by 1/N, centred at the sample mean (exact=False).
+    weighted by 1/N, centred at the sample mean (exact=False).  A
+    PolyFunction is evaluated on the whole batch in one call.
     """
     exact = isinstance(source, dc.FiniteProductSpace)
     if exact:
         values = dc.value_table(f, source).ravel()
         weights = source.joint.ravel()
     else:
-        values = np.array([float(f(row)) for row in source.data])
+        if isinstance(f, cal.PolyFunction):
+            values = f.eval(source.data)
+        else:
+            values = np.array([float(f(row)) for row in source.data])
         if values.size == 0:
             raise ValueError("empty sample")
         weights = np.full(values.size, 1.0 / values.size)
@@ -370,23 +374,17 @@ def finite_difference_suite(f, m, points, h=1e-4, seed=0, hessian=None):
 # level-coefficient helpers
 
 
-def _level_norm(T):
-    """|T|_op of a level tensor: Euclidean norm at order 1, spectral at 2."""
-    if T.order == 1:
-        return float(np.linalg.norm(T.array))
-    if T.order == 2:
-        return float(np.linalg.norm(T.array, 2))
-    return tn.op_norm(T, 2.0).value
-
-
-def _field_op_norms(field, j, n, base_shape):
-    """Operator norm of the order-j tensor at every configuration."""
-    flat = field.reshape((n,) * j + (-1,))
-    norms = [
-        _level_norm(tn.SymTensor(j, n, flat[(Ellipsis, i)], symmetrize=False))
-        for i in range(flat.shape[-1])
-    ]
-    return np.array(norms).reshape(base_shape)
+def _level_norm(stack):
+    """|T|_op of each tensor T in a stacked (N, n, ..., n) array: Euclidean
+    norm at order 1, spectral norm at order 2, op_norm per tensor beyond."""
+    order = stack.ndim - 1
+    if order == 1:
+        return np.linalg.norm(stack, axis=-1)
+    if order == 2:
+        return np.linalg.norm(stack, ord=2, axis=(-2, -1))
+    n = stack.shape[-1]
+    return np.array([tn.op_norm(tn.SymTensor(order, n, T, symmetrize=False), 2.0).value
+                     for T in stack])
 
 
 def discrete_level_coefficients(f, space, d):
@@ -395,8 +393,8 @@ def discrete_level_coefficients(f, space, d):
     probs = space.joint
     table = dc.value_table(f, space)
     for j in range(1, d + 1):
-        field = dc.h_tensor_field(table, space, j)
-        norms = _field_op_norms(field, j, space.n, space.shape)
+        field = dc.h_tensor_field(table, space, j).reshape((space.n,) * j + (-1,))
+        norms = _level_norm(np.moveaxis(field, -1, 0)).reshape(space.shape)
         if j < d:
             K.append(float(np.sum(probs * norms)))
         else:
@@ -412,14 +410,13 @@ def polynomial_level_coefficients(f, batch, d, inflate=True):
     requires f to have degree <= d, making f^(d) constant in x.
     """
     K = []
-    data = batch.data
     for j in range(1, d):
-        vals = np.array([_level_norm(cal.derivative_tensor(f, j, x)) for x in data])
+        vals = _level_norm(cal.derivative_field(f, j, batch.data))
         est = float(vals.mean())
         if inflate:
             est += 3.0 * float(vals.std(ddof=1)) / np.sqrt(vals.size)
         K.append(est)
     if f.degree > d:
         raise ValueError("top level is only exact for polynomials of degree <= d")
-    K.append(_level_norm(cal.derivative_tensor(f, d, np.zeros(f.nvars))))
+    K.append(float(_level_norm(cal.derivative_field(f, d, np.zeros((1, f.nvars))))[0]))
     return bd.LevelCoefficients(K)

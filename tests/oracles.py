@@ -1,13 +1,19 @@
-"""From-the-definition oracles for the vectorized difference fields.
+"""From-the-definition oracles for the vectorized kernels.
 
-Each oracle works at one configuration x (a tuple of alphabet indices) by
-plain loops over replacement values and observed/replacement subsets, so
-it shares no code with the field kernels it checks.
+The difference-field oracles work at one configuration x (a tuple of
+alphabet indices) by plain loops over replacement values and
+observed/replacement subsets.  The polynomial oracles loop over a
+{exponent tuple: coefficient} dict one point at a time, and the Stiefel
+and Grassmann oracles orthonormalize one Gaussian matrix per row.  None
+of them shares code with the kernels it checks (the order >= 3 level
+norm calls the same op_norm).
 """
 
 import itertools
 
 import numpy as np
+
+from conclab.tensor import SymTensor, op_norm
 
 
 def iterated_difference_sup(table, idx, x):
@@ -64,3 +70,136 @@ def conditional_std(table, joint, x):
         mean = float(w @ vals)
         out[i] = np.sqrt(max(0.0, float(w @ (vals - mean) ** 2)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# polynomials: dict-of-monomials loops, one point at a time
+
+
+def poly_eval_oracle(monomials, x):
+    """sum c prod x_i^e_i over a {exponent tuple: coefficient} dict."""
+    total = 0.0
+    for exps, coef in monomials.items():
+        term = coef
+        for xi, e in zip(x, exps):
+            if e:
+                term *= xi ** e
+        total += term
+    return total
+
+
+def _partial_oracle(monomials, i):
+    out = {}
+    for exps, coef in monomials.items():
+        if exps[i]:
+            key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            out[key] = out.get(key, 0.0) + coef * exps[i]
+    return {e: c for e, c in out.items() if c != 0.0}
+
+
+def derivative_tensor_oracle(monomials, n, j, x):
+    """Order-j partial-derivative tensor at x, one index tuple at a time."""
+    out = np.zeros((n,) * j)
+    for idx in itertools.product(range(n), repeat=j):
+        terms = monomials
+        for i in sorted(idx):
+            terms = _partial_oracle(terms, i)
+        out[idx] = poly_eval_oracle(terms, x)
+    return out
+
+
+def _spherical_diff_oracle(terms, k):
+    out = {}
+    for beta, c in terms.items():
+        if beta[k] > 0:
+            key = beta[:k] + (beta[k] - 1,) + beta[k + 1:]
+            out[key] = out.get(key, 0.0) + c * beta[k]
+        key = beta[:k] + (beta[k] + 1,) + beta[k + 1:]
+        out[key] = out.get(key, 0.0) - c * sum(beta)
+    return {e: c for e, c in out.items() if c != 0.0}
+
+
+def spherical_derivative_tensor_oracle(monomials, j, theta):
+    """D_{i1..ij} f(theta) for every index tuple, through the 0-homogeneous
+    extension sum c x^beta |x|^{-|beta|} of each level, evaluated on the sphere."""
+    n = len(theta)
+    out = np.zeros((n,) * j)
+    for idx in itertools.product(range(n), repeat=j):
+        terms = monomials
+        for k in idx:
+            terms = _spherical_diff_oracle(terms, k)
+        out[idx] = poly_eval_oracle(terms, theta)
+    return out
+
+
+def level_norm_oracle(T):
+    """|T|_op of one derivative tensor: Euclidean, spectral, then op_norm."""
+    if T.ndim == 1:
+        return float(np.linalg.norm(T))
+    if T.ndim == 2:
+        return float(np.linalg.norm(T, 2))
+    return op_norm(SymTensor(T.ndim, T.shape[0], T, symmetrize=False), 2.0).value
+
+
+def polynomial_level_coefficients_oracle(monomials, n, data, d):
+    """K_j = mean |f^(j)(x)|_op + 3 standard errors (j < d), row by row, and
+    the top level |f^(d)(0)|_op."""
+    K = []
+    for j in range(1, d):
+        vals = np.array([level_norm_oracle(derivative_tensor_oracle(monomials, n, j, x))
+                         for x in data])
+        K.append(float(vals.mean()) + 3.0 * float(vals.std(ddof=1)) / np.sqrt(vals.size))
+    K.append(level_norm_oracle(derivative_tensor_oracle(monomials, n, d, np.zeros(n))))
+    return K
+
+
+# ---------------------------------------------------------------------------
+# Stiefel and Grassmann samplers: one Gaussian matrix per row
+
+CHUNK = 4096
+
+
+def _row_sampler_oracle(n, k, count, seed, frame, fail_rows):
+    """Row-by-row frames from per-chunk generators hashed from (seed, chunk).
+
+    A row whose Gram matrix is singular takes the next draw instead; the
+    rows in fail_rows treat their first draw as singular.
+    """
+    out = []
+    for ci in range((count + CHUNK - 1) // CHUNK):
+        ss = np.random.SeedSequence(entropy=int(seed) & (2 ** 64 - 1), spawn_key=(ci,))
+        rng = np.random.default_rng(ss)
+        for row in range(ci * CHUNK, min(count, (ci + 1) * CHUNK)):
+            g = rng.standard_normal((n, k))
+            try:
+                if row in fail_rows:
+                    raise FloatingPointError("forced singular Gram matrix")
+                a = frame(g)
+            except (FloatingPointError, np.linalg.LinAlgError):
+                g = rng.standard_normal((n, k))
+                a = frame(g)
+            out.append(a.ravel())
+    return np.array(out).reshape(count, -1)
+
+
+def _orthonormalize(g):
+    s = g.T @ g
+    w, v = np.linalg.eigh(s)
+    if np.min(w) <= 0:
+        raise FloatingPointError("singular Gram matrix")
+    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
+    return g @ inv_sqrt
+
+
+def _projection(g):
+    return g @ np.linalg.inv(g.T @ g) @ g.T
+
+
+def sample_stiefel_oracle(n, k, count, seed, fail_rows=()):
+    """A = G (G^T G)^{-1/2} per row, by one eigh each."""
+    return _row_sampler_oracle(n, k, count, seed, _orthonormalize, set(fail_rows))
+
+
+def sample_grassmann_oracle(n, k, count, seed, fail_rows=()):
+    """P = G (G^T G)^{-1} G^T per row, by one inv each."""
+    return _row_sampler_oracle(n, k, count, seed, _projection, set(fail_rows))

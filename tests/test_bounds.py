@@ -66,6 +66,14 @@ class TestSetting:
         with pytest.raises(ValueError):
             Setting(p=2.0, r0=2.0, L=1.0, sigma=1.0, d=1, gamma=0.5)
 
+    @pytest.mark.parametrize("field", ["p", "r0", "L", "sigma", "q", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters_refused(self, field, value):
+        params = dict(p=2.0, r0=2.0, L=1.0, sigma=1.0, d=1, q=2.0, gamma=1.0)
+        params[field] = value
+        with pytest.raises(ValueError):
+            Setting(**params)
+
     def test_holder_conjugate_accepted(self):
         s = Setting(p=3.0, r0=1.5, L=1.0, sigma=1.0, d=1, q=1.5)
         assert s.q == 1.5
@@ -83,6 +91,16 @@ class TestTailBound:
     def test_zero_threshold(self):
         s = self.make()
         assert tail_bound(s, LevelCoefficients([1.0]), 0.0) == 1.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_threshold_refused(self, t):
+        with pytest.raises(ValueError):
+            tail_bound(self.make(), LevelCoefficients([1.0]), t)
+
+    @pytest.mark.parametrize("K", [[math.nan], [math.inf], [1.0, math.nan], [-math.inf]])
+    def test_non_finite_levels_refused(self, K):
+        with pytest.raises(ValueError):
+            LevelCoefficients(K)
 
     def test_gaussian_linear_shape(self):
         s = self.make()

@@ -18,6 +18,14 @@ from conclab.calculus import (
     spherical_partial,
     tangent_project,
 )
+from conclab.samplers import sample_gaussian
+from conclab.verify import polynomial_level_coefficients
+from oracles import (
+    derivative_tensor_oracle,
+    poly_eval_oracle,
+    polynomial_level_coefficients_oracle,
+    spherical_derivative_tensor_oracle,
+)
 
 
 def random_poly(rng, n, degree):
@@ -306,3 +314,50 @@ def test_intrinsic_gradient_always_tangent(seed):
     theta /= np.linalg.norm(theta)
     g = intrinsic_gradient(Sphere(4), f, theta)
     assert abs(g @ theta) < 1e-10
+
+
+@st.composite
+def polynomials(draw):
+    """Random polynomials in n <= 4 variables of degree <= 4, the zero and
+    constant polynomials included (as the empty and all-zero-exponent draws)."""
+    n = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(lambda e: sum(e) <= 4)
+    coef = st.floats(-10.0, 10.0, allow_nan=False).filter(lambda c: c != 0.0)
+    mono = draw(st.dictionaries(exps.map(tuple), coef, max_size=8))
+    return PolyFunction(n, mono)
+
+
+def assert_rel(new, old):
+    np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(), st.integers(0, 2 ** 32 - 1))
+def test_array_form_matches_dict_oracles(f, seed):
+    rng = np.random.default_rng(seed)
+    n, mono = f.nvars, f.monomials
+    X = rng.standard_normal((7, n))
+    values = f.eval(X)
+    assert isinstance(values, np.ndarray) and values.shape == (7,)
+    assert_rel(values, [poly_eval_oracle(mono, x) for x in X])
+    point = f.eval(X[0])
+    assert isinstance(point, float)
+    assert_rel(point, poly_eval_oracle(mono, X[0]))
+    for bad in (np.zeros(n + 1), np.zeros((3, n + 1)), np.zeros((2, 3, n)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            f.eval(bad)
+    for j in (1, 2, 3):
+        assert_rel(derivative_tensor(f, j, X[1]).array, derivative_tensor_oracle(mono, n, j, X[1]))
+    if n >= 2:
+        theta = X[2] / np.linalg.norm(X[2])
+        for j in (1, 2):
+            assert_rel(spherical_derivative_tensor(f, j, theta),
+                       spherical_derivative_tensor_oracle(mono, j, theta))
+    batch = sample_gaussian(n, 40, seed % 1000)
+    for d in (2, 3):
+        if f.degree > d:
+            with pytest.raises(ValueError):
+                polynomial_level_coefficients(f, batch, d)
+        else:
+            assert_rel(polynomial_level_coefficients(f, batch, d).K,
+                       polynomial_level_coefficients_oracle(mono, n, batch.data, d))

@@ -87,6 +87,12 @@ class TestBound:
         )
         assert main(["bound", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("K,grid", [([math.nan], [1.0]), ([math.inf], [1.0]), ([1.0], [math.nan])])
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, K, grid):
+        cfg = write_config(tmp_path, {"setting": {"tag": "gaussian"}, "K": K, "grid": grid})
+        assert main(["bound", "--config", cfg]) == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestSample:
     def test_csv_output(self, tmp_path):

@@ -1,4 +1,5 @@
-"""Smoke test: the demos that call the difference and verification code run."""
+"""Smoke test: the demos that call the difference, verification, sampler and
+calculus code run."""
 
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["discrete_operators.py", "verification_tour.py"])
+@pytest.mark.parametrize("demo", ["discrete_operators.py", "verification_tour.py",
+                                  "samplers_tour.py", "intrinsic_calculus.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

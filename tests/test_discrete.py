@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conclab.bounds import LevelCoefficients, setting_catalog
 from conclab.discrete import (
     FiniteProductSpace,
     d_field,
@@ -22,6 +23,7 @@ from conclab.discrete import (
     value_table,
 )
 from conclab.tensor import SymTensor, op_norm, op_norm_oracle
+from conclab.verify import verify_moment_recursion
 from oracles import conditional_std, h_tensor_oracle
 
 
@@ -268,9 +270,15 @@ class TestExactOracles:
 
     def test_second_moment_is_std(self):
         sp = uniform_cube(3)
-        assert exact_moment(lambda x: float(np.sum(x)), sp, 2) == pytest.approx(
-            np.sqrt(3.0)
-        )
+
+        def f(x):
+            return float(np.sum(x))
+
+        assert exact_moment(f, sp, 2) == pytest.approx(np.sqrt(3.0))
+        # the verify path computes the same exact moment
+        report = verify_moment_recursion(sp, f, setting_catalog("independent_bounded"),
+                                         LevelCoefficients([2.0 * np.sqrt(3.0)]), [2.0])
+        assert report.moments[0] == pytest.approx(exact_moment(f, sp, 2), rel=1e-15)
 
     def test_entropy_of_constant(self):
         sp = uniform_cube(2)

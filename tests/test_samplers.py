@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conclab import samplers
 from conclab.discrete import FiniteProductSpace, uniform_cube
 from conclab.samplers import (
     SampleBatch,
@@ -15,6 +16,7 @@ from conclab.samplers import (
     sample_sphere,
     sample_stiefel,
 )
+from oracles import sample_grassmann_oracle, sample_stiefel_oracle
 
 N_MC = 20000
 
@@ -198,3 +200,58 @@ def test_seed_determinism_property(seed, n, count):
     a = sample_gaussian(n, count, seed).data
     b = sample_gaussian(n, count, seed).data
     assert np.array_equal(a, b)
+
+
+class TestStackedParity:
+    """The stacked samplers equal the row-by-row oracles bit for bit."""
+
+    CASES = [(5, 1, 300, 0), (4, 2, 1, 1), (6, 3, 5000, 2), (8, 3, 9000, 3), (4, 3, 4097, 4)]
+
+    @pytest.mark.parametrize("n,k,count,seed", CASES)
+    def test_stiefel_equals_oracle(self, n, k, count, seed):
+        assert np.array_equal(sample_stiefel(n, k, count, seed).data,
+                              sample_stiefel_oracle(n, k, count, seed))
+
+    @pytest.mark.parametrize("n,k,count,seed", CASES)
+    def test_grassmann_equals_oracle(self, n, k, count, seed):
+        assert np.array_equal(sample_grassmann(n, k, count, seed).data,
+                              sample_grassmann_oracle(n, k, count, seed))
+
+    @staticmethod
+    def failing(block, error, fail_calls):
+        """block, except that the calls numbered in fail_calls raise error."""
+        calls = []
+
+        def wrapped(g):
+            calls.append(g.shape[0])
+            if len(calls) in fail_calls:
+                raise error("forced singular Gram matrix")
+            return block(g)
+
+        return wrapped, calls
+
+    # count 5000 is chunk 0 (4096 rows) and chunk 1 (904 rows).  Call 1 is
+    # chunk 0's block; when it fails, calls 2..4097 are its rows, so call 5
+    # is row 3, whose retry takes one more (1, n, k) call.
+    @pytest.mark.parametrize("fail_calls,fail_rows,row_calls", [
+        ({1}, (), 4096),
+        ({2}, (), 904),
+        ({1, 5}, (3,), 4097),
+    ])
+    @pytest.mark.parametrize("name", ["stiefel", "grassmann"])
+    def test_singular_chunk_fallback(self, monkeypatch, name, fail_calls, fail_rows, row_calls):
+        n, k, count, seed = 5, 2, 5000, 9
+        error = FloatingPointError if name == "stiefel" else np.linalg.LinAlgError
+        block = getattr(samplers, f"_{name}_block")
+        wrapped, calls = self.failing(block, error, fail_calls)
+        monkeypatch.setattr(samplers, f"_{name}_block", wrapped)
+        data = getattr(samplers, f"sample_{name}")(n, k, count, seed).data
+        oracle = sample_stiefel_oracle if name == "stiefel" else sample_grassmann_oracle
+        assert np.array_equal(data, oracle(n, k, count, seed, fail_rows))
+        assert calls.count(1) == row_calls
+
+    def test_forced_row_failure_moves_the_draws(self):
+        # the retry the fallback reproduces changes the output, so the
+        # fallback test above would notice a fallback that skipped it
+        assert not np.array_equal(sample_stiefel_oracle(5, 2, 50, 9, fail_rows=(3,)),
+                                  sample_stiefel_oracle(5, 2, 50, 9))
