@@ -290,6 +290,7 @@ def cmd_verify(cfg):
                     "schema_version": SCHEMA_VERSION,
                     "sigma2_claimed": sigma2,
                     "max_ratio_found": ratio,
+                    "poincare_ratio": vf.poincare_ratio(space),
                     "passed": ok,
                 },
                 indent=2,

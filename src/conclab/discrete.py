@@ -299,8 +299,23 @@ def _interdependence_matrix(space):
 
 
 def _beta_tilde(space):
+    """inf over i, S not containing i and supported sections of P(x_i | x_S).
+
+    On a strictly positive joint a conditional given fewer coordinates is a
+    convex combination of full conditionals, so the infimum is the smallest
+    P(x_i | x_-i): one scan per site.  A joint with zeros takes the subset
+    enumeration.
+    """
     joint = space.joint
-    n = space.n
+    if np.all(joint > 0.0):
+        return float(min((joint / joint.sum(axis=i, keepdims=True)).min()
+                         for i in range(space.n)))
+    return _beta_tilde_subsets(joint)
+
+
+def _beta_tilde_subsets(joint):
+    """beta-tilde by enumerating every conditioning set S, 2^n of them."""
+    n = joint.ndim
     best = np.inf
     for r in range(n):
         for S in itertools.combinations(range(n), r):

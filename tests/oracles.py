@@ -4,15 +4,19 @@ The difference-field oracles work at one configuration x (a tuple of
 alphabet indices) by plain loops over replacement values and
 observed/replacement subsets.  The polynomial oracles loop over a
 {exponent tuple: coefficient} dict one point at a time, and the Stiefel
-and Grassmann oracles orthonormalize one Gaussian matrix per row.  None
-of them shares code with the kernels it checks (the order >= 3 level
-norm calls the same op_norm).
+and Grassmann oracles orthonormalize one Gaussian matrix per row.  The
+DLSI search oracle is the former coordinate ascent: a Brent line search on
+every table entry, recomputing d_field at each evaluation.  None of them
+shares code with the kernels it checks (the order >= 3 level norm calls
+the same op_norm).
 """
 
 import itertools
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
+from conclab.discrete import d_field
 from conclab.tensor import SymTensor, op_norm
 
 
@@ -203,3 +207,71 @@ def sample_stiefel_oracle(n, k, count, seed, fail_rows=()):
 def sample_grassmann_oracle(n, k, count, seed, fail_rows=()):
     """P = G (G^T G)^{-1} G^T per row, by one inv each."""
     return _row_sampler_oracle(n, k, count, seed, _projection, set(fail_rows))
+
+
+# ---------------------------------------------------------------------------
+# DLSI ratio search: entry-by-entry coordinate ascent
+
+
+def _dlsi_ratio_oracle(g, space):
+    """Ent(g^2) / (2 E|dg|^2), with the variance/energy quotient for an
+    essentially constant g and 0 when the energy vanishes."""
+    w = space.joint
+    ms = float(np.sum(w * g ** 2))
+    if ms <= 1e-300:
+        return 0.0
+    u = g ** 2 / ms - 1.0
+    den2 = float(np.sum(w * (d_field(g, space) ** 2).sum(axis=0)))
+    if den2 <= 1e-300:
+        return 0.0
+    if np.max(np.abs(u)) < 1e-6:
+        mean = float(np.sum(w * g))
+        var = float(np.sum(w * (g - mean) ** 2))
+        return var / den2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(u > -1.0, (1.0 + u) * np.log1p(np.maximum(u, -1.0)) - u, 1.0)
+    num = float(np.sum(w * phi))
+    return num * ms / (2.0 * den2)
+
+
+def dlsi_search_oracle(space, search_budget=5, seed=0, sweeps=60):
+    """Best entropy ratio of a Brent line search on every table entry.
+
+    Restart 0 starts near the constant function, the others from seeded
+    Gaussian tables; a sweep visits every entry and the restart stops at
+    the first sweep without improvement.
+    """
+    rng = np.random.default_rng(seed)
+    shape = space.shape
+    best = 0.0
+    for restart in range(search_budget):
+        if restart == 0:
+            g = 1.0 + 1e-4 * rng.standard_normal(shape)
+        else:
+            g = rng.standard_normal(shape)
+        cur = _dlsi_ratio_oracle(g, space)
+        for _ in range(sweeps):
+            improved = False
+            for idx in np.ndindex(*shape):
+                def ratio_at(v, idx=idx):
+                    g[idx] = v
+                    return -_dlsi_ratio_oracle(g, space)
+
+                v0 = g[idx]
+                res = minimize_scalar(
+                    ratio_at, bracket=(v0 - 1.0, v0 + 1.0), method="brent",
+                    options={"xtol": 1e-10},
+                )
+                if -res.fun > cur + 1e-14:
+                    g[idx] = res.x
+                    cur = -res.fun
+                    improved = True
+                else:
+                    g[idx] = v0
+            scale = np.max(np.abs(g))
+            if scale > 0:
+                g /= scale
+            if not improved:
+                break
+        best = max(best, cur)
+    return best

@@ -188,6 +188,23 @@ class TestVerify:
         assert main(["verify", "--config", cfg]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["max_ratio_found"] == pytest.approx(1.0, abs=1e-3)
+        assert report["poincare_ratio"] == pytest.approx(1.0, rel=1e-14)
+
+    def test_dlsi_disconnected_chain_exits_1(self, tmp_path, capsys):
+        # no single-coordinate move joins the two points of the support
+        cfg = write_config(
+            tmp_path,
+            {
+                "kind": "dlsi",
+                "space": {"alphabets": [[-1, 1], [-1, 1]], "joint": [[0.5, 0.0], [0.0, 0.5]]},
+                "sigma2": 1e6,
+            },
+        )
+        assert main(["verify", "--config", cfg]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["poincare_ratio"] == math.inf
+        assert report["max_ratio_found"] == math.inf
+        assert report["passed"] is False
 
     def test_dlsi_failing_claim_exits_1(self, tmp_path, capsys):
         cfg = write_config(

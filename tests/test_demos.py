@@ -1,5 +1,5 @@
-"""Smoke test: the demos that call the difference, verification, sampler and
-calculus code run."""
+"""Smoke test: the demos that call the difference, verification, sampler,
+calculus, bound and command-line code run."""
 
 import os
 import subprocess
@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["discrete_operators.py", "verification_tour.py",
-                                  "samplers_tour.py", "intrinsic_calculus.py"])
+                                  "samplers_tour.py", "intrinsic_calculus.py",
+                                  "tail_bounds_tour.py", "cli_examples.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conclab.bounds import LevelCoefficients, setting_catalog
 from conclab.discrete import (
     FiniteProductSpace,
+    _beta_tilde_subsets,
     d_field,
     d_operator,
     dependence_profile,
@@ -233,6 +234,22 @@ class TestDependenceProfile:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             dependence_profile(uniform_cube(13))
+
+    def test_beta_tilde_with_zeros_enumerates_subsets(self):
+        # the marginal P(x_0 = 0) = 0.05 is below every single-site
+        # conditional of the support (the smallest is 0.05 / 0.95)
+        sp = FiniteProductSpace([(0, 1), (0, 1)], [[0.0, 0.05], [0.05, 0.9]])
+        assert dependence_profile(sp).beta_tilde == pytest.approx(0.05, rel=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_beta_tilde_scan_matches_subsets(self, n):
+        rng = np.random.default_rng(n)
+        edges = [(i, (i + 1) % n, float(rng.uniform(-1.0, 1.0))) for i in range(n)]
+        edges.append((0, n - 1, float(rng.uniform(-1.0, 1.0))))
+        sp = ising_space(n, edges, fields=rng.uniform(-0.5, 0.5, n),
+                         beta=float(rng.uniform(0.1, 1.0)))
+        fast = dependence_profile(sp).beta_tilde
+        assert fast == pytest.approx(_beta_tilde_subsets(sp.joint), rel=1e-15)
 
 
 class TestDlsiConstant:

@@ -1,5 +1,6 @@
 """Verification machinery: tails, moments, entropy ratios, finite differences."""
 
+import functools
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conclab import verify
 from conclab.bounds import LevelCoefficients, exp_moment_certificate, setting_catalog
 from conclab.calculus import (
     Euclidean,
@@ -18,6 +20,7 @@ from conclab.calculus import (
 )
 from conclab.discrete import (
     FiniteProductSpace,
+    d_field,
     dependence_profile,
     dlsi_constant,
     ising_space,
@@ -26,15 +29,20 @@ from conclab.discrete import (
 from conclab.samplers import sample_gaussian, sample_sphere, sample_stiefel
 from conclab.tensor import op_norm
 from conclab.verify import (
+    _dirichlet_form,
+    _dlsi_ratio,
+    _neg_entropy_ratio,
     discrete_level_coefficients,
     empirical_tail,
     finite_difference_suite,
+    poincare_ratio,
     polynomial_level_coefficients,
     verify_dlsi,
     verify_exp_moment,
     verify_moment_recursion,
     verify_tail,
 )
+from oracles import dlsi_search_oracle
 
 
 class TestEmpiricalTail:
@@ -257,6 +265,103 @@ class TestVerifyDlsi:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             verify_dlsi(uniform_cube(1), 1.0, search_budget=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_floor_is_one_on_uniform_cube(self, n):
+        # the Gibbs sampler on the uniform cube has spectral gap 1
+        assert poincare_ratio(uniform_cube(n)) == pytest.approx(1.0, rel=1e-14)
+
+    def test_disconnected_chain_fails_every_claim(self):
+        # the support {(-1,-1), (1,1)} has no single-coordinate move, so a
+        # table that differs between the two points has zero energy and
+        # positive entropy: the constant is infinite
+        sp = FiniteProductSpace([(-1, 1), (-1, 1)], [[0.5, 0.0], [0.0, 0.5]])
+        assert _dlsi_ratio(np.array([[1.0, 5.0], [5.0, 2.0]]), sp) == math.inf
+        # two 2x2 blocks, each connected: the eigensolver's second
+        # eigenvalue is roundoff, not exactly 0
+        blocks = np.zeros((4, 4))
+        blocks[:2, :2] = [[0.1, 0.2], [0.15, 0.05]]
+        blocks[2:, 2:] = [[0.2, 0.1], [0.05, 0.15]]
+        two = FiniteProductSpace([range(4)] * 2, blocks)
+        for space in (sp, two):
+            assert poincare_ratio(space) == math.inf
+            for claim in (1e-3, 1e6):
+                assert verify_dlsi(space, claim, search_budget=3, seed=0) == (math.inf, False)
+        assert _dlsi_ratio(np.full((2, 2), 3.0), sp) == 0.0
+
+    def test_sparse_gap_matches_dense(self, monkeypatch):
+        # 256 and 8 support points: eigsh on the sparse form against eigh
+        sp = ising_space(8, [(i, (i + 1) % 8, 0.3) for i in range(8)],
+                         fields=np.linspace(-0.3, 0.3, 8))
+        for space in (sp, _dlsi_systems()[3][0]):
+            monkeypatch.setattr(verify, "_DENSE_MAX", 10 ** 6)
+            dense = poincare_ratio(space)
+            monkeypatch.setattr(verify, "_DENSE_MAX", 0)
+            assert poincare_ratio(space) == pytest.approx(dense, rel=1e-12)
+
+    def test_returns_plain_float(self):
+        best, ok = verify_dlsi(uniform_cube(2), 1.0, search_budget=2, seed=0)
+        assert type(best) is float and type(ok) is bool
+
+    def test_point_mass_has_ratio_zero(self):
+        # one support point: no non-constant table, no eigenproblem
+        sp = FiniteProductSpace([(-1, 1), (-1, 1)], [[0.0, 1.0], [0.0, 0.0]])
+        assert poincare_ratio(sp) == 0.0
+        assert verify_dlsi(sp, 1e-3, search_budget=2) == (0.0, True)
+
+    @pytest.mark.parametrize("case", range(21))
+    def test_search_dominates_floor_and_oracle(self, case):
+        # criterion 9's systems, then a joint with a zero; the oracle is the
+        # former coordinate ascent, capped at 5 sweeps (each sweep can only
+        # raise its ratio, so the full search is above it)
+        sp, sigma2, seed = _dlsi_systems()[case]
+        best, ok = verify_dlsi(sp, sigma2, search_budget=2, seed=seed)
+        assert best >= poincare_ratio(sp)
+        assert best >= dlsi_search_oracle(sp, search_budget=2, seed=seed, sweeps=5)
+        assert best <= sigma2 and ok
+
+    @pytest.mark.parametrize("case", [0, 7, 20])
+    def test_gradient_matches_central_differences(self, case):
+        sp = _dlsi_systems()[case][0]
+        F, mu, _ = _dirichlet_form(sp)
+        rng = np.random.default_rng(case)
+        g = rng.standard_normal(mu.size)
+        _, grad = _neg_entropy_ratio(g, mu, F)
+        h = 1e-6
+        for k in range(mu.size):
+            e = np.zeros(mu.size)
+            e[k] = h
+            fd = (_neg_entropy_ratio(g + e, mu, F)[0] - _neg_entropy_ratio(g - e, mu, F)[0]) / (2 * h)
+            assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    def test_form_is_the_dirichlet_energy(self):
+        # g' F g equals E sum_i Var_i(g) computed from d_field
+        sp = _dlsi_systems()[20][0]
+        F, mu, support = _dirichlet_form(sp)
+        g = np.random.default_rng(4).standard_normal(sp.joint.size)
+        energy = float(np.sum(sp.joint * (d_field(g.reshape(sp.shape), sp) ** 2).sum(axis=0)))
+        assert g[support] @ F @ g[support] == pytest.approx(energy, rel=1e-12)
+
+
+@functools.cache
+def _dlsi_systems():
+    """(space, sigma2, seed): criterion 9's 20 Ising systems, then a
+    two-spin joint with one zero whose Gibbs sampler is connected."""
+    systems = []
+    rng = np.random.default_rng(99)
+    while len(systems) < 20:
+        edges = [(0, 1, float(rng.uniform(-1.0, 1.0))),
+                 (1, 2, float(rng.uniform(-1.0, 1.0))),
+                 (0, 2, float(rng.uniform(-1.0, 1.0)))]
+        fields = rng.uniform(-0.5, 0.5, size=3)
+        beta = float(rng.uniform(0.05, 0.5))
+        sp = ising_space(3, edges, fields=fields, beta=beta)
+        profile = dependence_profile(sp)
+        if profile.J_opnorm < 1.0:
+            systems.append((sp, dlsi_constant(profile)[0], len(systems)))
+    sp = FiniteProductSpace([(-1, 1), (-1, 1)], [[0.0, 0.3], [0.3, 0.4]])
+    systems.append((sp, dlsi_constant(dependence_profile(sp))[0], 0))
+    return tuple(systems)
 
 
 class TestFiniteDifferenceSuite:
