@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -279,21 +280,26 @@ def cmd_verify(cfg):
         space = _space(cfg["space"])
         if "sigma2" in cfg:
             sigma2 = float(cfg["sigma2"])
+            if not math.isfinite(sigma2):
+                raise ConfigError("sigma2 must be finite")
         else:
             sigma2, _ = dc.dlsi_constant(dc.dependence_profile(space))
+        floor = vf._poincare_floor(space)
         ratio, ok = vf.verify_dlsi(
-            space, sigma2, search_budget=int(cfg.get("budget", 5)), seed=seed
+            space, sigma2, search_budget=int(cfg.get("budget", 5)), seed=seed, _floor=floor
         )
+        # null: infinite (a disconnected sampler) or an unresolved floor
         text = (
             json.dumps(
                 {
                     "schema_version": SCHEMA_VERSION,
                     "sigma2_claimed": sigma2,
-                    "max_ratio_found": ratio,
-                    "poincare_ratio": vf.poincare_ratio(space),
+                    "max_ratio_found": ratio if math.isfinite(ratio) else None,
+                    "poincare_ratio": floor[3] if math.isfinite(floor[3]) else None,
                     "passed": ok,
                 },
                 indent=2,
+                allow_nan=False,
             )
             + "\n"
         )

@@ -16,6 +16,13 @@ def write_config(tmp_path, obj, name="config.json"):
     return str(path)
 
 
+def _strict_json(text):
+    """Parse RFC 8259 JSON: NaN and Infinity tokens are refused."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestNorms:
     def test_identity_tensor(self, tmp_path, capsys):
         cfg = write_config(
@@ -186,7 +193,7 @@ class TestVerify:
             {"kind": "dlsi", "space": {"uniform_cube": 1}, "sigma2": 1.0, "budget": 4},
         )
         assert main(["verify", "--config", cfg]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = _strict_json(capsys.readouterr().out)
         assert report["max_ratio_found"] == pytest.approx(1.0, abs=1e-3)
         assert report["poincare_ratio"] == pytest.approx(1.0, rel=1e-14)
 
@@ -201,10 +208,34 @@ class TestVerify:
             },
         )
         assert main(["verify", "--config", cfg]) == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["poincare_ratio"] == math.inf
-        assert report["max_ratio_found"] == math.inf
+        report = _strict_json(capsys.readouterr().out)
+        assert report["poincare_ratio"] is None
+        assert report["max_ratio_found"] is None
         assert report["passed"] is False
+
+    def test_dlsi_unresolved_floor_is_null(self, tmp_path, capsys):
+        # a strongly coupled pair: the spectral gap is below roundoff
+        cfg = write_config(
+            tmp_path,
+            {
+                "kind": "dlsi",
+                "space": {"ising": {"n": 2, "edges": [[0, 1, 1.0]], "beta": 20.0}},
+                "sigma2": 1.0,
+                "budget": 2,
+            },
+        )
+        assert main(["verify", "--config", cfg]) == 1
+        report = _strict_json(capsys.readouterr().out)
+        assert report["poincare_ratio"] is None
+        assert 1.0 < report["max_ratio_found"] < math.inf
+        assert report["passed"] is False
+
+    def test_dlsi_refuses_infinite_claim(self, tmp_path):
+        # json.dumps writes math.inf as the non-standard token Infinity
+        cfg = write_config(
+            tmp_path, {"kind": "dlsi", "space": {"uniform_cube": 1}, "sigma2": math.inf}
+        )
+        assert main(["verify", "--config", cfg]) == 2
 
     def test_dlsi_failing_claim_exits_1(self, tmp_path, capsys):
         cfg = write_config(

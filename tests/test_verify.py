@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conclab import verify
 from conclab.bounds import LevelCoefficients, exp_moment_certificate, setting_catalog
 from conclab.calculus import (
     Euclidean,
@@ -289,15 +288,25 @@ class TestVerifyDlsi:
                 assert verify_dlsi(space, claim, search_budget=3, seed=0) == (math.inf, False)
         assert _dlsi_ratio(np.full((2, 2), 3.0), sp) == 0.0
 
-    def test_sparse_gap_matches_dense(self, monkeypatch):
-        # 256 and 8 support points: eigsh on the sparse form against eigh
-        sp = ising_space(8, [(i, (i + 1) % 8, 0.3) for i in range(8)],
-                         fields=np.linspace(-0.3, 0.3, 8))
-        for space in (sp, _dlsi_systems()[3][0]):
-            monkeypatch.setattr(verify, "_DENSE_MAX", 10 ** 6)
-            dense = poincare_ratio(space)
-            monkeypatch.setattr(verify, "_DENSE_MAX", 0)
-            assert poincare_ratio(space) == pytest.approx(dense, rel=1e-12)
+    @pytest.mark.parametrize("coupling", [1.0, 5.0, 10.0])
+    def test_floor_matches_two_spin_closed_form(self, coupling):
+        # mu(x) ~ exp(J x0 x1): the Gibbs sampler's Dirichlet form is a
+        # 4-cycle with spectrum {0, 2 / (1 + e^2J), 2 / (1 + e^-2J), 2}
+        sp = ising_space(2, [(0, 1, 1.0)], beta=coupling)
+        exact = (1.0 + math.exp(2.0 * coupling)) / 2.0
+        assert poincare_ratio(sp) == pytest.approx(exact, rel=1e-6)
+        assert verify_dlsi(sp, exact, search_budget=2, seed=0)[0] >= poincare_ratio(sp)
+
+    @pytest.mark.parametrize("coupling", [12.0, 20.0])
+    def test_unresolved_gap_is_not_a_floor(self, coupling):
+        # lambda_2 = 2 / (1 + e^2J) is below eigh's resolution: at J = 20
+        # the computed second eigenvalue is negative roundoff, so 1/lambda_2
+        # would be garbage; the search alone gives the result
+        sp = ising_space(2, [(0, 1, 1.0)], beta=coupling)
+        assert math.isnan(poincare_ratio(sp))
+        best, ok = verify_dlsi(sp, 1.0, search_budget=3, seed=0)
+        assert type(best) is float and 1.0 < best < math.inf and not ok
+        assert verify_dlsi(sp, 2.0 * best, search_budget=3, seed=0) == (best, True)
 
     def test_returns_plain_float(self):
         best, ok = verify_dlsi(uniform_cube(2), 1.0, search_budget=2, seed=0)
