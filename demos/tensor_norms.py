@@ -1,13 +1,14 @@
 """Symmetric tensors and their operator norms.
 
 Builds small symmetric tensors, computes Hilbert-Schmidt and operator
-norms (the latter by alternating power iteration over lp spheres), and
-cross-checks against the dense grid oracle.
+norms (the latter by alternating power iteration over lp spheres, with an
+upper bracket from the unfolded tensor), and cross-checks against the
+dense grid oracle.
 """
 
 import numpy as np
 
-from conclab.tensor import SymTensor, contract, hs_norm, op_norm, op_norm_oracle
+from conclab.tensor import SymTensor, contract, hs_norm, op_norm, op_norm_oracle, op_norm_stack
 
 # ---------------------------------------------------------------------
 # 1. order 2 reduces to linear algebra: op norm = spectral norm
@@ -33,15 +34,25 @@ print("all-ones 2x2: q=2 ->", op_norm(M, q=2.0).value,
 
 # ---------------------------------------------------------------------
 # 4. random tensors: alternating iteration vs the grid oracle, and the
-#    universal domination op <= hs
+#    bracket value <= |T|_op <= upper <= hs at q = 2
 rng = np.random.default_rng(0)
 worst = 0.0
 for _ in range(10):
     j = int(rng.integers(2, 4))
     n = int(rng.integers(2, 4))
     T = SymTensor(j, n, rng.standard_normal((n,) * j))
-    a = op_norm(T).value
+    res = op_norm(T)
     o = op_norm_oracle(T)
-    worst = max(worst, abs(a - o) / o)
-    assert a <= hs_norm(T) + 1e-10
+    worst = max(worst, abs(res.value - o) / o)
+    assert res.value <= res.upper <= hs_norm(T) + 1e-10
 print("max relative gap vs oracle over 10 random tensors: %.2e" % worst)
+
+# ---------------------------------------------------------------------
+# 5. one call for a whole stack: every tensor and every restart run
+#    together, from the starts op_norm would use on each tensor alone
+Ts = [SymTensor(3, 3, rng.standard_normal((3, 3, 3))) for _ in range(8)]
+value, upper, converged, _ = op_norm_stack(np.array([T.array for T in Ts]))
+print("stack of 8: matches op_norm:",
+      np.allclose(value, [op_norm(T).value for T in Ts], rtol=1e-12),
+      " all converged:", bool(converged.all()),
+      " largest upper/value: %.3f" % (upper / value).max())

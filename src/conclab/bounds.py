@@ -429,7 +429,6 @@ def paper_constant_table(d=2):
             "paper_C": LOG2 / (2.0 * math.e ** 2),
             "engine_c": ec,
             "engine_C": eC,
-            "agrees": None,
             "mismatch": None,
             "note": "",
         }
@@ -443,7 +442,6 @@ def paper_constant_table(d=2):
             "paper_C": LOG2 / (math.sqrt(2.0) * math.e),
             "engine_c": ec,
             "engine_C": eC,
-            "agrees": None,
             "mismatch": None,
             "note": "published c is 2^{1/(2d)}/(4e); direct substitution gives 2^{1/(2d)}/(8e)",
         }
@@ -463,7 +461,6 @@ def paper_constant_table(d=2):
             "paper_C": 4.0 ** (p - 1.0) * (p - 1.0) ** p / (q * LOG2 ** (p - 2.0) * math.e ** p),
             "engine_c": ec,
             "engine_C": eC,
-            "agrees": None,
             "mismatch": None,
             "note": "published C grows with p while the general C shrinks",
         }
@@ -493,7 +490,6 @@ def paper_constant_table(d=2):
             "paper_C": LOG2 / (16.0 * KAPPA * math.e ** 2),
             "engine_c": ec,
             "engine_C": eC,
-            "agrees": None,
             "mismatch": None,
             "note": "",
         }

@@ -123,18 +123,16 @@ def cmd_norms(cfg):
         raise ConfigError("q must lie in [1, 2]")
     rows = []
     if "tensor" in cfg:
-        T = tn.SymTensor.from_json(cfg["tensor"])
-        rows.append(
-            {"order": T.order, "hs": tn.hs_norm(T), "op": tn.op_norm(T, q).value}
-        )
+        tensors = [tn.SymTensor.from_json(cfg["tensor"])]
     else:
         f = _function(cfg["function"])
         point = np.array(cfg.get("point", [0.0] * f.nvars), dtype=float)
-        for order in cfg.get("orders", [1]):
-            T = cal.derivative_tensor(f, int(order), point)
-            rows.append(
-                {"order": int(order), "hs": tn.hs_norm(T), "op": tn.op_norm(T, q).value}
-            )
+        tensors = [cal.derivative_tensor(f, int(order), point)
+                   for order in cfg.get("orders", [1])]
+    for T in tensors:
+        res = tn.op_norm(T, q)
+        rows.append({"order": T.order, "hs": tn.hs_norm(T), "op": res.value,
+                     "op_upper": res.upper, "converged": res.converged})
     fmt = cfg.get("format", "json")
     if fmt == "csv":
         text = "order,hs,op\n" + "".join(

@@ -34,7 +34,6 @@ __all__ = [
     "dependence_profile",
     "dlsi_constant",
     "exact_distribution",
-    "exact_moment",
     "phi_entropy",
     "ising_space",
     "uniform_cube",
@@ -379,13 +378,6 @@ def exact_distribution(f, space, decimals=12):
         if p > 0:
             pmf[float(v)] = pmf.get(float(v), 0.0) + float(p)
     return dict(sorted(pmf.items()))
-
-
-def exact_moment(f, space, r):
-    """Centered L^r norm ||f - Ef||_r by enumeration."""
-    table = value_table(f, space)
-    mean = float(np.sum(space.joint * table))
-    return float(np.sum(space.joint * np.abs(table - mean) ** r) ** (1.0 / r))
 
 
 def phi_entropy(g, space, phi="log", q=None):

@@ -451,15 +451,13 @@ def finite_difference_suite(f, m, points, h=1e-4, seed=0, hessian=None):
 
 def _level_norm(stack):
     """|T|_op of each tensor T in a stacked (N, n, ..., n) array: Euclidean
-    norm at order 1, spectral norm at order 2, op_norm per tensor beyond."""
+    norm at order 1, spectral norm at order 2, one op_norm_stack call beyond."""
     order = stack.ndim - 1
     if order == 1:
         return np.linalg.norm(stack, axis=-1)
     if order == 2:
         return np.linalg.norm(stack, ord=2, axis=(-2, -1))
-    n = stack.shape[-1]
-    return np.array([tn.op_norm(tn.SymTensor(order, n, T, symmetrize=False), 2.0).value
-                     for T in stack])
+    return tn.op_norm_stack(stack, 2.0)[0]
 
 
 def discrete_level_coefficients(f, space, d):

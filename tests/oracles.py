@@ -6,9 +6,9 @@ observed/replacement subsets.  The polynomial oracles loop over a
 {exponent tuple: coefficient} dict one point at a time, and the Stiefel
 and Grassmann oracles orthonormalize one Gaussian matrix per row.  The
 DLSI search oracle is the former coordinate ascent: a Brent line search on
-every table entry, recomputing d_field at each evaluation.  None of them
-shares code with the kernels it checks (the order >= 3 level norm calls
-the same op_norm).
+every table entry, recomputing d_field at each evaluation.  The operator
+norm oracle is the former per-tensor, per-restart loop of alternating
+sweeps.  None of them shares code with the kernels it checks.
 """
 
 import itertools
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from conclab.discrete import d_field
-from conclab.tensor import SymTensor, op_norm
+from conclab.tensor import OpNormResult, SymTensor, _contract_all_but, contract
 
 
 def iterated_difference_sup(table, idx, x):
@@ -74,6 +74,65 @@ def conditional_std(table, joint, x):
         mean = float(w @ vals)
         out[i] = np.sqrt(max(0.0, float(w @ (vals - mean) ** 2)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# operator norm: one tensor, one restart, one vector at a time
+
+
+def _dual_maximizer(g, q, p):
+    """argmax of <g, v> over the unit l_p sphere for one vector g."""
+    if np.all(g == 0):
+        v = np.zeros_like(g)
+        v[0] = 1.0
+        return v
+    if np.isinf(p):
+        return np.where(g >= 0, 1.0, -1.0)
+    w = np.sign(g) * np.abs(g) ** (q - 1.0)
+    nrm = np.sum(np.abs(w) ** p) ** (1.0 / p)
+    if nrm == 0:
+        v = np.zeros_like(g)
+        v[0] = 1.0
+        return v
+    return w / nrm
+
+
+def _start(rng, n, p):
+    if np.isinf(p):
+        return rng.choice([-1.0, 1.0], size=n)
+    v = rng.standard_normal(n)
+    nv = np.sum(np.abs(v) ** p) ** (1.0 / p)
+    while nv == 0:
+        v = rng.standard_normal(n)
+        nv = np.sum(np.abs(v) ** p) ** (1.0 / p)
+    return v / nv
+
+
+def op_norm_oracle_loop(T, q=2.0, restarts=20, tol=1e-10, max_sweeps=1000, seed=0):
+    """Alternating maximization of one tensor, restart after restart, with
+    the same starts, stopping rule and upper bound as op_norm_stack."""
+    p = np.inf if q == 1.0 else q / (q - 1.0)
+    a, n, j = T.array, T.dim, T.order
+    rng = np.random.default_rng(seed)
+    best_val, best_vecs, best_conv = -np.inf, None, False
+    for _ in range(restarts):
+        vecs = [_start(rng, n, p) for _ in range(j)]
+        prev = contract(T, vecs)
+        conv = False
+        for _sweep in range(max_sweeps):
+            for s in range(j):
+                vecs[s] = _dual_maximizer(_contract_all_but(a, vecs, s), q, p)
+            cur = contract(T, vecs)
+            if cur - prev <= tol * max(1.0, abs(cur)):
+                conv = True
+                break
+            prev = cur
+        cur = contract(T, vecs)
+        if cur > best_val:
+            best_val, best_vecs, best_conv = cur, [v.copy() for v in vecs], conv
+    unfolding = np.linalg.svd(a.reshape(n, -1), compute_uv=False)[0]
+    upper = float(unfolding) * (n ** (0.5 - 1.0 / p)) ** j
+    return OpNormResult(max(float(best_val), 0.0), best_vecs, best_conv, restarts, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +196,13 @@ def spherical_derivative_tensor_oracle(monomials, j, theta):
 
 
 def level_norm_oracle(T):
-    """|T|_op of one derivative tensor: Euclidean, spectral, then op_norm."""
+    """|T|_op of one derivative tensor: Euclidean, spectral, then the
+    alternating loop."""
     if T.ndim == 1:
         return float(np.linalg.norm(T))
     if T.ndim == 2:
         return float(np.linalg.norm(T, 2))
-    return op_norm(SymTensor(T.ndim, T.shape[0], T, symmetrize=False), 2.0).value
+    return op_norm_oracle_loop(SymTensor(T.ndim, T.shape[0], T, symmetrize=False)).value
 
 
 def polynomial_level_coefficients_oracle(monomials, n, data, d):

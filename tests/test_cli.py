@@ -45,6 +45,29 @@ class TestNorms:
         assert row["hs"] == pytest.approx(2.0 * np.linalg.norm(A))
         assert row["op"] == pytest.approx(2.0 * np.linalg.norm(A, 2))
 
+    def test_rows_report_upper_and_convergence(self, tmp_path, capsys):
+        # all-ones 2x2x2 at q = 1: the norm 8 and the upper bracket coincide
+        entries = {"order": 3, "dim": 2, "entries": [1.0] * 8}
+        cfg = write_config(tmp_path, {"tensor": entries, "q": 1.0})
+        assert main(["norms", "--config", cfg]) == 0
+        row = _strict_json(capsys.readouterr().out)["norms"][0]
+        assert set(row) == {"order", "hs", "op", "op_upper", "converged"}
+        assert row["op"] == pytest.approx(8.0, rel=1e-12)
+        assert row["op_upper"] == pytest.approx(8.0, rel=1e-12)
+        assert row["converged"] is True
+        cfg = write_config(tmp_path, {"tensor": entries, "q": 1.0, "format": "csv"})
+        assert main(["norms", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "order,hs,op"
+        assert float(lines[1].split(",")[2]) == pytest.approx(8.0, rel=1e-12)
+
+    def test_non_finite_tensor_is_refused(self, tmp_path, capsys):
+        # json reads 1e400 as inf; op used to come out as 0.0
+        cfg = tmp_path / "inf.json"
+        cfg.write_text('{"tensor": {"order": 3, "dim": 2, "entries": [1e400, 0, 0, 0, 0, 0, 0, 0]}}')
+        assert main(["norms", "--config", str(cfg)]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_invalid_q_exits_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

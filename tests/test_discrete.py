@@ -13,7 +13,6 @@ from conclab.discrete import (
     dependence_profile,
     dlsi_constant,
     exact_distribution,
-    exact_moment,
     h_field,
     h_ops,
     h_tensor,
@@ -291,11 +290,10 @@ class TestExactOracles:
         def f(x):
             return float(np.sum(x))
 
-        assert exact_moment(f, sp, 2) == pytest.approx(np.sqrt(3.0))
-        # the verify path computes the same exact moment
         report = verify_moment_recursion(sp, f, setting_catalog("independent_bounded"),
                                          LevelCoefficients([2.0 * np.sqrt(3.0)]), [2.0])
-        assert report.moments[0] == pytest.approx(exact_moment(f, sp, 2), rel=1e-15)
+        assert report.mode == "exhaustive"
+        assert report.moments[0] == pytest.approx(np.sqrt(3.0), rel=1e-15)
 
     def test_entropy_of_constant(self):
         sp = uniform_cube(2)

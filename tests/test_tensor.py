@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conclab.tensor import SymTensor, contract, hs_norm, op_norm, op_norm_oracle
+from conclab import tensor
+from conclab.tensor import (
+    SymTensor,
+    contract,
+    hs_norm,
+    op_norm,
+    op_norm_oracle,
+    op_norm_stack,
+)
+from oracles import op_norm_oracle_loop
 
 
 def random_sym_tensor(rng, order, dim):
@@ -138,6 +147,68 @@ class TestOpNorm:
                 cand = abs(contract(T, [v, v, v]))
                 best_sym = max(best_sym, cand)
             assert best_sym == pytest.approx(res.value, rel=1e-6)
+
+
+class TestOpNormStack:
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("order, dim", [(3, 4), (4, 3)])
+    @pytest.mark.parametrize("count", [1, 16])
+    def test_matches_the_per_tensor_loop(self, q, order, dim, count):
+        rng = np.random.default_rng([order, count, int(2 * q)])
+        tensors = [random_sym_tensor(rng, order, dim) for _ in range(count)]
+        value, upper, converged, witnesses = op_norm_stack(
+            np.array([T.array for T in tensors]), q)
+        for k, T in enumerate(tensors):
+            ref = op_norm_oracle_loop(T, q)
+            assert value[k] == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+            assert upper[k] == pytest.approx(ref.upper, rel=1e-12, abs=0.0)
+            assert converged[k] == ref.converged
+            assert contract(T, witnesses[k]) == pytest.approx(value[k], rel=1e-12)
+        # op_norm is the N = 1 case
+        res, ref = op_norm(tensors[0], q), op_norm_oracle_loop(tensors[0], q)
+        assert (res.converged, res.restarts_used) == (ref.converged, ref.restarts_used)
+        assert res.value == pytest.approx(value[0], rel=1e-14)
+        assert res.upper == pytest.approx(upper[0], rel=1e-14)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_bracket_holds_on_random_tensors(self, q):
+        rng = np.random.default_rng(int(4 * q))
+        for order in range(1, 5):
+            for dim in range(2, 5):
+                T = random_sym_tensor(rng, order, dim)
+                res = op_norm(T, q, restarts=5)
+                assert res.value <= res.upper
+                if q == 2.0:
+                    assert res.upper <= hs_norm(T)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_bracket_is_tight_on_all_ones(self, q):
+        # sup of prod <1, v_s> over unit l_p vectors is n^(j (1 - 1/p)),
+        # which the unfolding bound times n^(j (1/2 - 1/p)) attains
+        p = np.inf if q == 1.0 else q / (q - 1.0)
+        for order, dim in [(3, 2), (3, 3), (4, 2)]:
+            value, upper, _, _ = op_norm_stack(np.ones((1,) + (dim,) * order), q)
+            exact = dim ** (order * (1.0 - 1.0 / p))
+            assert value[0] == pytest.approx(exact, rel=1e-9)
+            assert upper[0] == pytest.approx(exact, rel=1e-12)
+
+    def test_refuses_ragged_or_non_finite_stacks(self):
+        with pytest.raises(ValueError):
+            op_norm_stack(np.zeros((2, 3, 2, 3)))
+        with pytest.raises(ValueError):
+            op_norm_stack(np.zeros(3))
+        with pytest.raises(ValueError):
+            op_norm_stack(np.full((1, 2, 2, 2), np.nan))
+
+    def test_chunks_match_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        stack = np.array([random_sym_tensor(rng, 3, 3).array for _ in range(5)])
+        whole = op_norm_stack(stack, 1.5, restarts=4)
+        monkeypatch.setattr(tensor, "_CHUNK_ENTRIES", 2 * 4 * 9)
+        chunked = op_norm_stack(stack, 1.5, restarts=4)
+        np.testing.assert_array_equal(whole[2], chunked[2])
+        for a, b in zip(whole, chunked):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
 
 
 class TestOpNormOracle:

@@ -1,6 +1,7 @@
 """Verification machinery: tails, moments, entropy ratios, finite differences."""
 
 import functools
+import itertools
 import json
 import math
 
@@ -22,14 +23,17 @@ from conclab.discrete import (
     d_field,
     dependence_profile,
     dlsi_constant,
+    h_tensor_field,
     ising_space,
     uniform_cube,
+    value_table,
 )
 from conclab.samplers import sample_gaussian, sample_sphere, sample_stiefel
 from conclab.tensor import op_norm
 from conclab.verify import (
     _dirichlet_form,
     _dlsi_ratio,
+    _level_norm,
     _neg_entropy_ratio,
     discrete_level_coefficients,
     empirical_tail,
@@ -41,7 +45,7 @@ from conclab.verify import (
     verify_moment_recursion,
     verify_tail,
 )
-from oracles import dlsi_search_oracle
+from oracles import dlsi_search_oracle, level_norm_oracle
 
 
 class TestEmpiricalTail:
@@ -431,6 +435,26 @@ class TestLevelCoefficients:
         K = discrete_level_coefficients(lambda x: float(x @ A @ x), sp, 2)
         # top level is the spectral norm of the constant tensor 8|A|
         assert K.K[1] == pytest.approx(float(np.linalg.norm(8.0 * np.abs(A), 2)))
+
+    def test_discrete_cubic_third_level_matches_the_loop(self):
+        # the benchmark's order-3 statistic: cubic, quadratic and linear
+        # parts on {-1, 1}^4; one op_norm_stack call serves all 16 tensors
+        n = 4
+        rng = np.random.default_rng(21)
+        triples = np.array(list(itertools.combinations(range(n), 3)))
+        coef = rng.standard_normal(len(triples))
+        B, a = np.triu(rng.standard_normal((n, n)), 1), rng.standard_normal(n)
+
+        def stat(x):
+            return float(np.prod(x[triples], axis=1) @ coef + x @ B @ x + a @ x)
+
+        sp = uniform_cube(n)
+        field = h_tensor_field(value_table(stat, sp), sp, 3).reshape((n,) * 3 + (-1,))
+        stack = np.moveaxis(field, -1, 0)
+        ref = np.array([level_norm_oracle(T) for T in stack])
+        np.testing.assert_allclose(_level_norm(stack), ref, rtol=1e-12, atol=0.0)
+        K = discrete_level_coefficients(stat, sp, 3)
+        assert K.K[2] == pytest.approx(ref.max(), rel=1e-12)
 
     def test_polynomial_top_level_exact(self):
         rng = np.random.default_rng(16)
