@@ -350,11 +350,13 @@ def cmd_discrete(cfg):
     if "function" in cfg:
         f = _function(cfg["function"])
         x = tuple(int(v) for v in cfg.get("point", (0,) * space.n))
+        if len(x) != space.n or not all(0 <= v < k for v, k in zip(x, space.shape)):
+            raise ConfigError(f"point must hold {space.n} alphabet indices below {space.shape}")
         table = dc.value_table(f, space)
-        hs = [dc.h_ops(table, space, x, i) for i in range(space.n)]
-        result["h"] = [h[0] for h in hs]
-        result["h_plus"] = [h[1] for h in hs]
-        result["h_minus"] = [h[2] for h in hs]
+        at = (slice(None),) + x
+        result["h"] = dc.h_field(table, space)[at].tolist()
+        result["h_plus"] = dc.h_plus_field(table, space)[at].tolist()
+        result["h_minus"] = dc.h_plus_field(-table, space)[at].tolist()
         result["d"] = dc.d_operator(table, space, x).tolist()
     fmt = cfg.get("format", "json")
     if fmt == "csv":

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conclab import calculus as cal
+from conclab import discrete as dc
 from conclab.cli import main
 from conclab.samplers import SampleBatch
 
@@ -308,6 +310,35 @@ class TestDiscrete:
         report = json.loads(capsys.readouterr().out)
         assert report["h"] == pytest.approx([2.0, 4.0])
         assert report["d"] == pytest.approx([1.0, 2.0])
+
+    def test_operator_fields_match_per_coordinate_ops(self, tmp_path, capsys):
+        A = np.random.default_rng(6).standard_normal((6, 6))
+        x = (1, 0, 1, 1, 0, 1)
+        cfg = write_config(
+            tmp_path,
+            {
+                "space": {"uniform_cube": 6},
+                "function": {"quadratic": A.tolist()},
+                "point": list(x),
+            },
+        )
+        assert main(["discrete", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        space = dc.uniform_cube(6)
+        table = dc.value_table(cal.PolyFunction.quadratic_form(A), space)
+        ops = [dc.h_ops(table, space, x, i) for i in range(6)]
+        assert report["h"] == [h for h, _, _ in ops]
+        assert report["h_plus"] == [hp for _, hp, _ in ops]
+        assert report["h_minus"] == [hm for _, _, hm in ops]
+
+    @pytest.mark.parametrize("point", [[0], [0, 0, 0], [0, 2], [-1, 0]])
+    def test_point_outside_the_space_exits_2(self, tmp_path, capsys, point):
+        cfg = write_config(
+            tmp_path,
+            {"space": {"uniform_cube": 2}, "function": {"linear": [1.0, -2.0]}, "point": point},
+        )
+        assert main(["discrete", "--config", cfg]) == 2
+        assert "point" in capsys.readouterr().err
 
     def test_output_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

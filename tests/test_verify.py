@@ -4,11 +4,18 @@ import functools
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
+import conclab
 from conclab.bounds import LevelCoefficients, exp_moment_certificate, setting_catalog
 from conclab.calculus import (
     Euclidean,
@@ -80,6 +87,51 @@ class TestEmpiricalTail:
     def test_non_finite_values_refused(self, bad):
         with pytest.raises(ValueError, match="finite"):
             empirical_tail(np.full(10, bad), 0.5, 0.05)
+
+    def test_ucb_matches_beta_quantile_oracle(self):
+        # the Clopper-Pearson bound is the (1 - delta)-quantile of
+        # Beta(k + 1, n - k); betaincinv and beta.ppf share one inverse
+        rng = np.random.default_rng(14)
+        for n in np.unique(np.geomspace(10, 10 ** 5, 25).astype(int)):
+            for k in (0, n - 1, int(rng.integers(1, n - 1))):
+                values = np.zeros(n)
+                values[:k] = 2.0
+                for delta in rng.uniform(1e-6, 0.5, size=4):
+                    oracle = float(stats.beta.ppf(1.0 - delta, k + 1, n - k))
+                    assert empirical_tail(values, 1.0, delta) == (k / n, oracle)
+
+
+_SCIPY_FREE_IMPORT = """
+import sys
+import numpy as np
+import conclab, conclab.cli
+from conclab.discrete import uniform_cube
+from conclab.verify import discrete_level_coefficients, empirical_tail, verify_dlsi, verify_tail
+from conclab.bounds import LevelCoefficients, setting_catalog
+
+def scipy_loaded():
+    return [m for m in ("scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.special")
+            if m in sys.modules]
+
+assert scipy_loaded() == [], scipy_loaded()
+sp = uniform_cube(3)
+report = verify_tail(sp, lambda x: float(sum(x)), setting_catalog("lsi", sigma2=1.0),
+                     LevelCoefficients([1.0]), [1.0, 2.0])
+assert report.passed and report.mode == "exhaustive"
+discrete_level_coefficients(lambda x: float(x[0] * x[1] * x[2]), sp, 3)
+assert scipy_loaded() == [], scipy_loaded()
+assert empirical_tail(np.array([0.0, 2.0]), 1.0, 0.05)[0] == 0.5
+assert verify_dlsi(uniform_cube(2), 1.0)[1]
+"""
+
+
+def test_import_and_exhaustive_checks_load_no_scipy():
+    # a fresh interpreter: the test process itself has scipy loaded
+    src = str(Path(conclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestVerifyTail:
@@ -268,6 +320,25 @@ class TestVerifyDlsi:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             verify_dlsi(uniform_cube(1), 1.0, search_budget=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_point_search_stays_at_the_constant(self, seed):
+        # the exact constant is 1, approached by tables near the constants,
+        # where the entropy cancels to u^2 / 2
+        best, ok = verify_dlsi(uniform_cube(1), 1.0, search_budget=4, seed=seed)
+        assert best <= 1.0 + 1e-14 and ok
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-4, 1e-2, 0.2])
+    def test_ratio_near_constants_matches_exact_arithmetic(self, eps):
+        # on the two-point space E|dg|^2 = Var(g) = ((a - b) / 2)^2
+        g = np.array([1.0 + eps, 1.0 - eps / 3.0])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a, b = (Decimal(float(v)) ** 2 for v in g)
+            m = (a + b) / 2
+            ent = (a * a.ln() + b * b.ln()) / 2 - m * m.ln()
+            exact = float(ent / (2 * ((Decimal(float(g[0])) - Decimal(float(g[1]))) / 2) ** 2))
+        assert _dlsi_ratio(g, uniform_cube(1)) == pytest.approx(exact, rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_floor_is_one_on_uniform_cube(self, n):
@@ -481,10 +552,16 @@ class TestLevelCoefficients:
         assert K.K[2] == pytest.approx(float(np.mean(norms)), rel=1e-12)
         assert K.K[3] == 0.0
 
-    def test_degree_guard(self):
+    def test_degree_guard(self, monkeypatch):
+        # refused before any level is computed
         f = PolyFunction(2, {(2, 1): 1.0})
         batch = sample_gaussian(2, 100, seed=19)
-        with pytest.raises(ValueError):
+
+        def no_field(*args):
+            raise AssertionError("derivative_field called before the degree check")
+
+        monkeypatch.setattr("conclab.calculus.derivative_field", no_field)
+        with pytest.raises(ValueError, match="degree"):
             polynomial_level_coefficients(f, batch, 2)
 
 
