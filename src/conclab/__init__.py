@@ -10,7 +10,7 @@ Submodules:
   cli       command-line front end
 """
 
-from . import bounds, calculus, cli, discrete, samplers, tensor, verify
+from . import bounds, calculus, discrete, samplers, tensor, verify
 
 __all__ = ["bounds", "calculus", "cli", "discrete", "samplers", "tensor", "verify"]
 __version__ = "0.1.0"

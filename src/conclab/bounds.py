@@ -52,9 +52,7 @@ class Setting:
     """Growth parameters (p, r0, L, sigma, d) plus catalog metadata.
 
     q, when present, must be the Hoelder conjugate of p; gamma >= 1 is the
-    optional relaxation multiplier for the weakened third assumption;
-    positive_part_only marks settings whose moment chain controls only the
-    upper tail.
+    optional relaxation multiplier for the weakened third assumption.
     """
 
     p: float
@@ -65,7 +63,6 @@ class Setting:
     q: float | None = None
     gamma: float | None = None
     tag: str = "custom"
-    positive_part_only: bool = False
 
     def __post_init__(self):
         # comparisons written so that NaN fails them
@@ -94,7 +91,6 @@ class Setting:
                 "q": self.q,
                 "gamma": self.gamma,
                 "tag": self.tag,
-                "positive_part_only": self.positive_part_only,
             }
         )
 
@@ -265,13 +261,12 @@ def hw_bound(s, hs, op, t):
     return float(min(1.0, 2.0 * math.exp(-C * min(args))))
 
 
-def chaos_sup_bound(EW, a, b, sigma2, t, two_sided=False):
+def chaos_sup_bound(EW, a, b, sigma2, t):
     """Tail bound for suprema of polynomial chaos.
 
     EW holds the expected sup-operator-norms E W_1..E W_d of the chaos
     derivatives (for the two-sided variant, pass the entrywise-sup
-    variants E W~_j and set two_sided=True; only reporting semantics
-    change).  The bound is
+    variants E W~_j).  The bound is
     2 exp(-(1/(2 sigma^2 (b-a)^2)) min_j (t/(d e E W_j))^{2/j}).
     """
     if b <= a:

@@ -4,11 +4,12 @@ A polynomial is an (m, n) integer exponent matrix plus (m,) coefficients:
 eval takes a point or an (N, n) batch, partials are exponent shifts, and
 derivative_field stacks exact derivative tensors of any order over a batch.
 Manifold descriptors (Euclidean space, unit sphere, l_p sphere, Stiefel,
-Grassmann) supply tangent-space projections; intrinsic gradients are
-projected Euclidean gradients.  On the sphere the intrinsic Hessian and
-iterated spherical partial derivatives D_{i1..ij} are computed exactly via
-the 0-homogeneous extension G(x) = g(x/|x|) of each level function, which
-is kept in the same array form.
+Grassmann) supply tangent-space projections and retract(point, u, t), a
+curve in the manifold through point with velocity u at t = 0; intrinsic
+gradients are projected Euclidean gradients.  On the sphere the intrinsic
+Hessian and iterated spherical partial derivatives D_{i1..ij} are computed
+exactly via the 0-homogeneous extension G(x) = g(x/|x|) of each level
+function, which is kept in the same array form.
 """
 
 from __future__ import annotations
@@ -212,6 +213,9 @@ class Euclidean:
     def tangent_project(self, point, ambient):
         return np.asarray(ambient, dtype=float)
 
+    def retract(self, point, u, t):
+        return np.asarray(point, dtype=float) + t * u
+
 
 @dataclass(frozen=True)
 class Sphere:
@@ -235,6 +239,10 @@ class Sphere:
             raise ValueError("point is not on the unit sphere")
         v = np.asarray(v, dtype=float).ravel()
         return v - (v @ theta) * theta
+
+    def retract(self, theta, u, t):
+        """Great circle."""
+        return np.cos(t) * np.asarray(theta, dtype=float) + np.sin(t) * u
 
 
 @dataclass(frozen=True)
@@ -264,6 +272,11 @@ class LpSphere:
         w = np.sign(theta) * np.abs(theta) ** (self.p - 1.0)
         return v - ((v @ w) / (w @ w)) * w
 
+    def retract(self, theta, u, t):
+        """Radial projection of theta + t u."""
+        x = np.asarray(theta, dtype=float) + t * u
+        return x / np.sum(np.abs(x) ** self.p) ** (1.0 / self.p)
+
 
 @dataclass(frozen=True)
 class Stiefel:
@@ -292,6 +305,12 @@ class Stiefel:
         M = self._mat(M)
         sym = (A.T @ M + M.T @ A) / 2.0
         return M - A @ sym
+
+    def retract(self, A, U, t):
+        """Polar factor X (X'X)^{-1/2} of X = A + t U."""
+        x = self._mat(A) + t * self._mat(U)
+        w, v = np.linalg.eigh(x.T @ x)
+        return x @ ((v * (1.0 / np.sqrt(w))) @ v.T)
 
 
 @dataclass(frozen=True)
@@ -324,6 +343,12 @@ class Grassmann:
         M = self._mat(M)
         M = (M + M.T) / 2.0
         return P @ M + M @ P - 2.0 * P @ M @ P
+
+    def retract(self, P, U, t):
+        """Projection onto the top-k eigenvectors of sym(P + t U)."""
+        x = self._mat(P) + t * self._mat(U)
+        top = np.linalg.eigh((x + x.T) / 2.0)[1][:, -self.k:]
+        return top @ top.T
 
 
 def tangent_project(m, point, ambient):

@@ -50,9 +50,29 @@ def _load_config(path):
     return cfg
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w", newline="") as fh:
+def _strict(value):
+    """value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _emit(cfg, fields, csv=None):
+    """Write a report to cfg["out"], or to stdout when there is none.
+
+    The csv text when cfg asks for format csv and the command has one;
+    otherwise strict JSON of schema_version and fields, with non-finite
+    floats written as null.
+    """
+    if cfg.get("format", "json") == "csv" and csv is not None:
+        text = csv
+    else:
+        obj = _strict({"schema_version": SCHEMA_VERSION, **fields})
+        text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    if cfg.get("out"):
+        with open(cfg["out"], "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -133,14 +153,8 @@ def cmd_norms(cfg):
         res = tn.op_norm(T, q)
         rows.append({"order": T.order, "hs": tn.hs_norm(T), "op": res.value,
                      "op_upper": res.upper, "converged": res.converged})
-    fmt = cfg.get("format", "json")
-    if fmt == "csv":
-        text = "order,hs,op\n" + "".join(
-            f"{r['order']},{r['hs']!r},{r['op']!r}\n" for r in rows
-        )
-    else:
-        text = json.dumps({"schema_version": SCHEMA_VERSION, "norms": rows}, indent=2) + "\n"
-    _emit(text, cfg.get("out"))
+    csv = "order,hs,op\n" + "".join(f"{r['order']},{r['hs']!r},{r['op']!r}\n" for r in rows)
+    _emit(cfg, {"norms": rows}, csv)
     return 0
 
 
@@ -168,18 +182,9 @@ def cmd_bound(cfg):
         ]
     else:
         raise ConfigError(f"unknown bound kind: {kind}")
-    fmt = cfg.get("format", "csv")
-    if fmt == "json":
-        text = (
-            json.dumps(
-                {"schema_version": SCHEMA_VERSION, "grid": grid, "bound": curve},
-                indent=2,
-            )
-            + "\n"
-        )
-    else:
-        text = "t,bound\n" + "".join(f"{t!r},{b!r}\n" for t, b in zip(grid, curve))
-    _emit(text, cfg.get("out"))
+    cfg.setdefault("format", "csv")
+    csv = "t,bound\n" + "".join(f"{t!r},{b!r}\n" for t, b in zip(grid, curve))
+    _emit(cfg, {"grid": grid, "bound": curve}, csv)
     return 0
 
 
@@ -240,7 +245,6 @@ def cmd_verify(cfg):
             "delta",
             "sigma2",
             "budget",
-            "r_values",
             "out",
             "format",
         },
@@ -256,23 +260,13 @@ def cmd_verify(cfg):
         f = _function(cfg["function"])
         grid = _grid(cfg["grid"])
         if "space" in cfg:
-            source = _space(cfg["space"])
-            K = (
-                bd.LevelCoefficients(cfg["K"])
-                if "K" in cfg
-                else vf.discrete_level_coefficients(f, source, s.d)
-            )
+            source, level_coefficients = _space(cfg["space"]), vf.discrete_level_coefficients
         else:
             source = _batch(cfg["measure"], int(cfg.get("samples", 100000)), seed)
-            K = (
-                bd.LevelCoefficients(cfg["K"])
-                if "K" in cfg
-                else vf.polynomial_level_coefficients(f, source, s.d)
-            )
+            level_coefficients = vf.polynomial_level_coefficients
+        K = bd.LevelCoefficients(cfg["K"]) if "K" in cfg else level_coefficients(f, source, s.d)
         report = vf.verify_tail(source, f, s, K, grid, delta)
-        fmt = cfg.get("format", "json")
-        text = report.to_csv() if fmt == "csv" else report.to_json() + "\n"
-        _emit(text, cfg.get("out"))
+        _emit(cfg, report.to_dict(), report.to_csv())
         return 0 if report.passed else 1
     if kind == "dlsi":
         space = _space(cfg["space"])
@@ -287,21 +281,8 @@ def cmd_verify(cfg):
             space, sigma2, search_budget=int(cfg.get("budget", 5)), seed=seed, _floor=floor
         )
         # null: infinite (a disconnected sampler) or an unresolved floor
-        text = (
-            json.dumps(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "sigma2_claimed": sigma2,
-                    "max_ratio_found": ratio if math.isfinite(ratio) else None,
-                    "poincare_ratio": floor[3] if math.isfinite(floor[3]) else None,
-                    "passed": ok,
-                },
-                indent=2,
-                allow_nan=False,
-            )
-            + "\n"
-        )
-        _emit(text, cfg.get("out"))
+        _emit(cfg, {"sigma2_claimed": sigma2, "max_ratio_found": ratio,
+                    "poincare_ratio": floor[3], "passed": ok})
         return 0 if ok else 1
     if kind == "exp_moment":
         space = _space(cfg["space"])
@@ -310,21 +291,9 @@ def cmd_verify(cfg):
         K = bd.LevelCoefficients(cfg["K"])
         cert = bd.exp_moment_certificate(s, K)
         value, ok = vf.verify_exp_moment(space, f, cert)
-        text = (
-            json.dumps(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "exponent": cert[0],
-                    "coefficient": cert[1],
-                    "normalized": cert[2],
-                    "integral": value,
-                    "passed": ok,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-        _emit(text, cfg.get("out"))
+        # null: an integral that overflows
+        _emit(cfg, {"exponent": cert[0], "coefficient": cert[1], "normalized": cert[2],
+                    "integral": value, "passed": ok})
         return 0 if ok else 1
     raise ConfigError(f"unknown verify kind: {kind}")
 
@@ -334,7 +303,6 @@ def cmd_discrete(cfg):
     space = _space(cfg["space"])
     profile = dc.dependence_profile(space)
     result = {
-        "schema_version": SCHEMA_VERSION,
         "n": space.n,
         "is_product": space.is_product,
         "J": profile.J.tolist(),
@@ -358,16 +326,8 @@ def cmd_discrete(cfg):
         result["h_plus"] = dc.h_plus_field(table, space)[at].tolist()
         result["h_minus"] = dc.h_plus_field(-table, space)[at].tolist()
         result["d"] = dc.d_operator(table, space, x).tolist()
-    fmt = cfg.get("format", "json")
-    if fmt == "csv":
-        lines = ["i,j,J"]
-        for i in range(space.n):
-            for j in range(space.n):
-                lines.append(f"{i},{j},{profile.J[i, j]!r}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(result, indent=2) + "\n"
-    _emit(text, cfg.get("out"))
+    csv = "i,j,J\n" + "".join(f"{i},{j},{float(v)!r}\n" for (i, j), v in np.ndenumerate(profile.J))
+    _emit(cfg, result, csv)
     return 0
 
 

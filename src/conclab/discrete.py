@@ -112,22 +112,28 @@ def _is_product(joint, tol=1e-12):
     return bool(np.max(np.abs(prod - joint)) <= tol)
 
 
+def _evaluate(f, points):
+    """f at each row of an (N, n) array of label vectors, as an (N,) array.
+
+    A PolyFunction is evaluated in one batched call; any other callable
+    receives one row at a time.
+    """
+    if isinstance(f, PolyFunction):
+        return f.eval(points)
+    return np.array([float(f(row)) for row in points])
+
+
 def value_table(f, space):
     """Materialize f as an array over all configurations.
 
     f may already be such an array (indexed by alphabet indices) or a
-    callable receiving the label vector of a configuration.  A
-    PolyFunction is evaluated on the whole label grid in one call.
+    callable receiving the label vector of a configuration, evaluated by
+    _evaluate on the label grid.
     """
     if isinstance(f, np.ndarray):
         return np.asarray(f, dtype=float).reshape(space.shape)
-    if isinstance(f, PolyFunction):
-        grid = np.meshgrid(*space.alphabets, indexing="ij")
-        return f.eval(np.stack(grid, axis=-1).reshape(-1, space.n)).reshape(space.shape)
-    out = np.empty(space.shape)
-    for x in space.configurations():
-        out[x] = f(space.labels(x))
-    return out
+    grid = np.stack(np.meshgrid(*space.alphabets, indexing="ij"), axis=-1)
+    return _evaluate(f, grid.reshape(-1, space.n)).reshape(space.shape)
 
 
 @dataclass(frozen=True)

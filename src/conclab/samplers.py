@@ -262,16 +262,17 @@ class _AliasTable:
 def sample_finite(space, count, seed):
     """i.i.d. configurations from a finite product-space joint table.
 
-    Rows hold per-coordinate alphabet indices (as floats), drawn by the
-    alias method over the flattened configuration space.
+    Rows hold label vectors (each coordinate's alphabet value, the points a
+    statistic sees in an exhaustive check), drawn by the alias method over
+    the flattened configuration space.
     """
     table = _AliasTable(space.joint.ravel())
     shape = space.joint.shape
     out = np.empty((count, len(shape)))
     row = 0
     for rng, m in _chunk_rngs(seed, count):
-        flat = table.draw(rng, m)
-        out[row:row + m] = np.column_stack(np.unravel_index(flat, shape))
+        idx = np.unravel_index(table.draw(rng, m), shape)
+        out[row:row + m] = np.column_stack([np.take(a, i) for a, i in zip(space.alphabets, idx)])
         row += m
     out.setflags(write=False)
     return SampleBatch(

@@ -65,22 +65,22 @@ class VerificationReport:
     delta: float
     mode: str
 
+    def to_dict(self):
+        """The report's fields in JSON order, without a schema version."""
+        return {
+            "mode": self.mode,
+            "n_samples": self.n_samples,
+            "delta": self.delta,
+            "passed": self.passed,
+            "grid": list(self.grid),
+            "empirical_tail": list(self.empirical_tail),
+            "empirical_upper_confidence": list(self.empirical_upper_confidence),
+            "theoretical": list(self.theoretical),
+            "verdicts": list(self.verdicts),
+        }
+
     def to_json(self):
-        return json.dumps(
-            {
-                "schema_version": "1",
-                "mode": self.mode,
-                "n_samples": self.n_samples,
-                "delta": self.delta,
-                "passed": self.passed,
-                "grid": list(self.grid),
-                "empirical_tail": list(self.empirical_tail),
-                "empirical_upper_confidence": list(self.empirical_upper_confidence),
-                "theoretical": list(self.theoretical),
-                "verdicts": list(self.verdicts),
-            },
-            indent=2,
-        )
+        return json.dumps({"schema_version": "1", **self.to_dict()}, indent=2)
 
     def to_csv(self):
         lines = ["t,empirical,ucb,bound,pass"]
@@ -137,18 +137,15 @@ def _deviations(source, f):
 
     A FiniteProductSpace gives every configuration weighted by the joint
     table, with the exact mean (exact=True); a SampleBatch gives every row
-    weighted by 1/N, centred at the sample mean (exact=False).  A
-    PolyFunction is evaluated on the whole batch in one call.
+    weighted by 1/N, centred at the sample mean (exact=False).  Both
+    evaluate f through discrete._evaluate.
     """
     exact = isinstance(source, dc.FiniteProductSpace)
     if exact:
         values = dc.value_table(f, source).ravel()
         weights = source.joint.ravel()
     else:
-        if isinstance(f, cal.PolyFunction):
-            values = f.eval(source.data)
-        else:
-            values = np.array([float(f(row)) for row in source.data])
+        values = dc._evaluate(f, source.data)
         if values.size == 0:
             raise ValueError("empty sample")
         weights = np.full(values.size, 1.0 / values.size)
@@ -401,30 +398,6 @@ def _tangent_basis_vector(m, point, rng):
     return u / nrm
 
 
-def _curve(m, point, u, t):
-    """In-manifold curve through point with initial velocity u."""
-    point = np.asarray(point, dtype=float)
-    if isinstance(m, cal.Sphere):
-        return np.cos(t) * point + np.sin(t) * u
-    if isinstance(m, cal.Euclidean):
-        return point + t * u
-    if isinstance(m, cal.LpSphere):
-        x = point + t * u
-        return x / np.sum(np.abs(x) ** m.p) ** (1.0 / m.p)
-    if isinstance(m, cal.Stiefel):
-        x = point.reshape(m.n, m.k) + t * u.reshape(m.n, m.k)
-        s = x.T @ x
-        w, v = np.linalg.eigh(s)
-        return x @ ((v * (1.0 / np.sqrt(w))) @ v.T)
-    if isinstance(m, cal.Grassmann):
-        x = point.reshape(m.n, m.n) + t * u.reshape(m.n, m.n)
-        x = (x + x.T) / 2.0
-        w, v = np.linalg.eigh(x)
-        top = v[:, -m.k:]
-        return top @ top.T
-    raise TypeError("unsupported manifold")
-
-
 def finite_difference_suite(f, m, points, h=1e-4, seed=0, hessian=None):
     """Max relative error of intrinsic derivatives vs central differences.
 
@@ -446,17 +419,17 @@ def finite_difference_suite(f, m, points, h=1e-4, seed=0, hessian=None):
         if u is None:
             continue
         fd = (
-            f.eval(_curve(m, point, u, h).ravel())
-            - f.eval(_curve(m, point, u, -h).ravel())
+            f.eval(m.retract(point, u, h).ravel())
+            - f.eval(m.retract(point, u, -h).ravel())
         ) / (2.0 * h)
         ana = float(np.sum(np.asarray(grad) * u))
         max_err = max(max_err, abs(ana - fd) / max(1.0, abs(ana), abs(fd)))
         if hessian and isinstance(m, cal.Sphere):
             H = cal.sphere_hessian(f, point).array
             fd2 = (
-                f.eval(_curve(m, point, u, h))
+                f.eval(m.retract(point, u, h))
                 - 2.0 * f.eval(point)
-                + f.eval(_curve(m, point, u, -h))
+                + f.eval(m.retract(point, u, -h))
             ) / h ** 2
             ana2 = float(u @ H @ u)
             max_err = max(max_err, abs(ana2 - fd2) / max(1.0, abs(ana2), abs(fd2)))

@@ -18,7 +18,13 @@ from conclab.calculus import (
     spherical_partial,
     tangent_project,
 )
-from conclab.samplers import sample_gaussian
+from conclab.samplers import (
+    sample_cone_lp,
+    sample_gaussian,
+    sample_grassmann,
+    sample_sphere,
+    sample_stiefel,
+)
 from conclab.verify import polynomial_level_coefficients
 from oracles import (
     derivative_tensor_oracle,
@@ -176,6 +182,24 @@ class TestTangentProject:
         m = Euclidean(3)
         v = np.array([1.0, 2.0, 3.0])
         assert np.allclose(tangent_project(m, np.zeros(3), v), v)
+
+
+@pytest.mark.parametrize("m,point", [
+    (Euclidean(3), np.array([0.3, -1.0, 2.0])),
+    (Sphere(4), sample_sphere(4, 1, seed=20).data[0]),
+    (LpSphere(4, 3.0), sample_cone_lp(3.0, 4, 1, seed=21).data[0]),
+    (Stiefel(4, 2), sample_stiefel(4, 2, 1, seed=22).data[0]),
+    (Grassmann(4, 2), sample_grassmann(4, 2, 1, seed=23).data[0]),
+], ids=["euclidean", "sphere", "lp_sphere", "stiefel", "grassmann"])
+def test_retract_starts_at_the_point_and_stays_on_the_manifold(m, point):
+    rng = np.random.default_rng(24)
+    u = m.tangent_project(point, rng.standard_normal(point.shape)).ravel()
+    u /= np.linalg.norm(u)
+    assert np.allclose(np.ravel(m.retract(point, u, 0.0)), point, rtol=0.0, atol=1e-12)
+    for t in (1e-4, -1e-4):
+        moved = m.retract(point, u, t)
+        assert m.on_manifold(moved)
+        assert 0.0 < np.linalg.norm(np.ravel(moved) - point) <= 2e-4
 
 
 class TestIntrinsicGradient:

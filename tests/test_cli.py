@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conclab
 from conclab import calculus as cal
 from conclab import discrete as dc
 from conclab.cli import main
@@ -285,6 +290,22 @@ class TestVerify:
         assert report["passed"]
         assert report["integral"] <= 2.0
 
+    def test_exp_moment_overflow_is_null(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "kind": "exp_moment",
+                "space": {"uniform_cube": 3},
+                "setting": {"tag": "independent_bounded"},
+                "function": {"linear": [1000.0, 1000.0, 1000.0]},
+                "K": [1.0],
+            },
+        )
+        assert main(["verify", "--config", cfg]) == 1
+        report = _strict_json(capsys.readouterr().out)
+        assert report["integral"] is None
+        assert report["passed"] is False
+
 
 class TestDiscrete:
     def test_independent_ising_zero_J(self, tmp_path, capsys):
@@ -340,6 +361,17 @@ class TestDiscrete:
         assert main(["discrete", "--config", cfg]) == 2
         assert "point" in capsys.readouterr().err
 
+    def test_csv_cells_are_numbers(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"space": {"ising": {"n": 2, "edges": [[0, 1, 1.0]], "beta": 0.5}}, "format": "csv"},
+        )
+        assert main(["discrete", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "i,j,J" and len(lines) == 5
+        J = [float(line.split(",")[2]) for line in lines[1:]]
+        assert J[0] == J[3] == 0.0 and J[1] > 0.0
+
     def test_output_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         for out in (out1, out2):
@@ -355,6 +387,18 @@ class TestDiscrete:
 
 
 class TestUsage:
+    def test_module_entry_point_runs_without_warnings(self, tmp_path):
+        cfg = write_config(
+            tmp_path, {"setting": {"tag": "gaussian"}, "K": [1.0], "grid": [0.0, 1.0]}
+        )
+        src = str(Path(conclab.__file__).resolve().parents[1])
+        cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "conclab.cli",
+               "bound", "--config", cfg]
+        proc = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("t,bound\n0.0,1.0\n")
+
     def test_missing_command(self, capsys):
         assert main([]) == 2
 

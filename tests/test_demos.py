@@ -1,5 +1,4 @@
-"""Smoke test: the demos that call the difference, verification, sampler,
-calculus, bound and command-line code run."""
+"""Smoke test: every demo runs."""
 
 import os
 import subprocess
@@ -13,7 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("demo", ["discrete_operators.py", "verification_tour.py",
                                   "samplers_tour.py", "intrinsic_calculus.py",
-                                  "tail_bounds_tour.py", "cli_examples.py"])
+                                  "tail_bounds_tour.py", "cli_examples.py",
+                                  "tensor_norms.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

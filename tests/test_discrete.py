@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conclab.bounds import LevelCoefficients, setting_catalog
+from conclab.calculus import PolyFunction
 from conclab.discrete import (
     FiniteProductSpace,
     _beta_tilde_subsets,
@@ -80,6 +81,24 @@ class TestFiniteProductSpace:
         back = FiniteProductSpace.from_json(sp.to_json())
         assert np.allclose(back.joint, sp.joint)
         assert back.alphabets == sp.alphabets
+
+
+TERNARY6 = FiniteProductSpace([(-1.0, 0.0, 1.0)] * 6, np.full((3,) * 6, 3.0 ** -6))
+
+
+@pytest.mark.parametrize("space", [uniform_cube(10), TERNARY6], ids=["cube10", "ternary6"])
+def test_value_table_matches_the_configuration_loop(space):
+    # the label grid in one PolyFunction call, or row by row for a callable,
+    # gives bit for bit the values of one call per configuration
+    rng = np.random.default_rng(30)
+    B, a = rng.standard_normal((space.n, space.n)), rng.standard_normal(space.n)
+    poly = PolyFunction.quadratic_form(B) + PolyFunction.linear(a)
+    stat = lambda x: float(x @ B @ x + a @ x)
+    for f in (stat, poly):
+        loop = np.empty(space.shape)
+        for x in space.configurations():
+            loop[x] = f(space.labels(x))
+        assert np.array_equal(value_table(f, space), loop)
 
 
 class TestHOps:

@@ -142,20 +142,22 @@ class TestStiefelGrassmann:
 
 class TestFinite:
     def test_uniform_cube_frequencies(self):
+        # rows are label vectors in {-1, +1}^2, not alphabet indices
         space = uniform_cube(2)
-        batch = sample_finite(space, N_MC, seed=14)
-        idx = batch.data.astype(int)
-        for a in range(2):
-            for b in range(2):
-                freq = np.mean((idx[:, 0] == a) & (idx[:, 1] == b))
+        data = sample_finite(space, N_MC, seed=14).data
+        assert set(np.unique(data)) == {-1.0, 1.0}
+        for a in (-1.0, 1.0):
+            for b in (-1.0, 1.0):
+                freq = np.mean((data[:, 0] == a) & (data[:, 1] == b))
                 assert freq == pytest.approx(0.25, abs=0.02)
 
     def test_point_mass(self):
+        # all mass on indices (1, 0): labels (1, -2) of the two alphabets
         joint = np.zeros((2, 2))
         joint[1, 0] = 1.0
-        space = FiniteProductSpace([(-1.0, 1.0), (-1.0, 1.0)], joint)
+        space = FiniteProductSpace([(-1.0, 1.0), (-2.0, 2.0)], joint)
         batch = sample_finite(space, 100, seed=15)
-        assert np.all(batch.data == [1.0, 0.0])
+        assert np.all(batch.data == [1.0, -2.0])
 
     def test_product_bernoulli_means(self):
         p = 0.3

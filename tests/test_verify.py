@@ -35,7 +35,7 @@ from conclab.discrete import (
     uniform_cube,
     value_table,
 )
-from conclab.samplers import sample_gaussian, sample_sphere, sample_stiefel
+from conclab.samplers import sample_finite, sample_gaussian, sample_sphere, sample_stiefel
 from conclab.tensor import op_norm
 from conclab.verify import (
     _dirichlet_form,
@@ -223,6 +223,20 @@ class TestVerifyTail:
             verify_tail(batch, f, s, K, [0.5, 1.0], 0.01)
         with pytest.raises(ValueError, match="finite"):
             verify_moment_recursion(batch, lambda x: np.inf, s, K, [2.0])
+
+
+    @pytest.mark.parametrize("K", [0.04, 0.06, 0.08, 0.10, 0.12])
+    def test_montecarlo_and_exhaustive_verdicts_agree_on_a_finite_space(self, K):
+        # the sample rows are label vectors, so f sees {-1, 1}^3 in both
+        # modes (alphabet indices gave variance 0.75 against 3 and a pass)
+        sp = uniform_cube(3)
+        s = setting_catalog("independent_bounded", d=1)
+        f = lambda x: float(x[0] + x[1] + x[2])
+        grid = np.arange(0.25, 3.0 + 0.125, 0.25)
+        args = (f, s, LevelCoefficients([K]), grid)
+        exhaustive = verify_tail(sp, *args)
+        montecarlo = verify_tail(sample_finite(sp, 20000, 0), *args)
+        assert montecarlo.passed == exhaustive.passed
 
 
 class TestVerifyMomentRecursion:
